@@ -6,8 +6,9 @@
 //! * the scenario conformance batteries: every spec under `scenarios/audit/`
 //!   runs the full `wakeup_scenario::conformance` battery — invariant
 //!   audits, batched vs per-message/per-round delivery, `reset()` + rerun
-//!   vs fresh, sharded vs serial, and lockstep vs the sync engine where
-//!   eligible (the same battery `wakeup fuzz` applies to generated specs);
+//!   vs fresh, two shards vs one (`sharded-vs-serial`), and lockstep vs
+//!   the sync engine where eligible (the same battery `wakeup fuzz`
+//!   applies to generated specs);
 //! * cached advice artifacts vs freshly built advice.
 //!
 //! An engine × delay-strategy matrix additionally exercises the invariant
@@ -385,7 +386,7 @@ fn cached_vs_cold(h: &mut Harness) {
 
 /// Runs the full `wakeup_scenario::conformance` battery over every spec in
 /// `scenarios/audit/` — batched vs per-message/per-round, reset vs fresh,
-/// sharded vs serial, lockstep where eligible, and the invariant audit,
+/// two shards vs one, lockstep where eligible, and the invariant audit,
 /// exactly the checks `wakeup fuzz` applies to generated specs. The corpus
 /// files replace the formerly hardcoded pairings: editing or adding a JSON
 /// spec changes the harness's coverage without touching this binary.

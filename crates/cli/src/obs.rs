@@ -291,10 +291,16 @@ fn render_inspect(snapshots: &[Labeled]) -> String {
             ));
         }
         if let Some(r) = s.get("runtime") {
+            let fallback = match r.get("shard_fallback") {
+                Some(Value::Str(why)) => format!(" ({why})"),
+                _ => String::new(),
+            };
             out.push_str(&format!(
-                "  runtime (diag): shards {} | wheel max scan {} | arena high water {} | \
-                 prefetch batches {} | stall rounds {} | relabeled {}\n",
+                "  runtime (diag): shards {} of {} requested{} | wheel max scan {} | \
+                 arena high water {} | prefetch batches {} | stall rounds {} | relabeled {}\n",
                 unum(r.get("shards")),
+                unum(r.get("shards_requested")),
+                fallback,
                 unum(r.get("wheel_max_scan")),
                 unum(r.get("arena_high_water")),
                 unum(r.get("prefetch_batches")),
@@ -577,6 +583,21 @@ mod tests {
                 .unwrap();
             assert_eq!(line.chars().filter(|c| SPARK.contains(c)).count(), 2);
         }
+    }
+
+    #[test]
+    fn inspect_prints_the_executor_decision() {
+        let snaps = vec![Labeled {
+            label: "traced".to_string(),
+            snapshot: parse(
+                r#"{"schema":4,"events":5,"runtime":{"shards":1,"shard_events":[5],
+                    "shard_sends":[4],"wheel_max_scan":1024,"arena_high_water":3,
+                    "prefetch_batches":4,"stall_rounds":0,"relabel_applied":false,
+                    "shards_requested":4,"shard_fallback":"trace"}}"#,
+            ),
+        }];
+        let text = render_inspect(&snaps);
+        assert!(text.contains("runtime (diag): shards 1 of 4 requested (trace) |"));
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!    and audit-trace bytes both;
 //! 3. **reset-vs-fresh** — a dirtied engine after `reset()` must match a
 //!    freshly constructed one exactly;
-//! 4. **sharded-vs-serial** — when the spec's delay strategy forks, shard
-//!    count 2 must agree with serial on the digest and the byte-exact
-//!    observability snapshot;
+//! 4. **sharded-vs-serial** — when the spec's delay strategy forks, the
+//!    engine's one executor at shard count 2 must agree with its inline
+//!    one-shard run on the digest and the byte-exact observability
+//!    snapshot;
 //! 5. **lockstep-vs-sync** — a unit-delay flooding spec with round-aligned
 //!    wake times is a synchronous execution and must agree with the sync
 //!    engine under [`Lockstep`] (digests; the engines schedule internal
@@ -231,8 +232,8 @@ impl AsyncDispatch for AsyncBattery<'_> {
         };
         checks.push(equivalent("reset-vs-fresh", &base, &reused, true));
 
-        // 4. Sharded vs serial (forkable strategies only; audit recording
-        // forces the serial path, so this pairing uses plain configs).
+        // 4. Two shards vs one (forkable strategies only; audit recording
+        // forces one shard, so this pairing uses plain configs).
         if build_delays(&spec.delays).fork().is_some() {
             let plain = |shards: usize| AsyncConfig {
                 shards,

@@ -13,6 +13,7 @@
 use std::fmt;
 
 use crate::json::{self, Value};
+use wakeup_sim::shard::MAX_SHARDS;
 use wakeup_sim::TICKS_PER_UNIT;
 
 /// The only spec version this crate reads or writes.
@@ -1004,7 +1005,7 @@ fn parse_engine(at: &str, value: &Value) -> Result<EngineSpec, SpecError> {
     let mut f = Fields::new(at, value)?;
     let engine = EngineSpec {
         seed: as_uint(&f.path("seed"), &f.require("seed")?, MAX_SEED)?,
-        shards: as_uint(&f.path("shards"), &f.require("shards")?, 1 << 20)? as usize,
+        shards: as_uint(&f.path("shards"), &f.require("shards")?, MAX_SHARDS as u64)? as usize,
         audit: as_bool(&f.path("audit"), &f.require("audit")?)?,
     };
     f.finish()?;
@@ -1139,6 +1140,22 @@ mod tests {
         let reparsed = ScenarioSpec::parse(&canon).unwrap();
         assert_eq!(spec, reparsed);
         assert_eq!(reparsed.to_canonical_json(), canon);
+    }
+
+    /// The engine block's shard count is capped at the simulator's
+    /// `MAX_SHARDS` with a typed range error, before validation or any
+    /// engine sees it.
+    #[test]
+    fn engine_shards_are_capped_at_max_shards() {
+        let engine = |shards: usize| {
+            let doc = format!("{{\"seed\": 7, \"shards\": {shards}, \"audit\": false}}");
+            parse_engine("$.engine", &json::parse(&doc).unwrap())
+        };
+        assert_eq!(engine(MAX_SHARDS).unwrap().shards, MAX_SHARDS);
+        assert!(matches!(
+            engine(MAX_SHARDS + 1).unwrap_err(),
+            SpecError::OutOfRange { at, .. } if at == "$.engine.shards"
+        ));
     }
 
     #[test]

@@ -19,14 +19,15 @@ pub trait DelayStrategy {
     /// the engine regardless.
     fn delay_ticks(&mut self, from: NodeId, to: NodeId, send_tick: u64, seq: u64) -> u64;
 
-    /// A per-shard clone for the engines' intra-run sharded paths, or `None`
-    /// if the strategy cannot be split (the engines then fall back to the
-    /// serial path, which is byte-identical anyway).
+    /// A per-shard clone for the engines' intra-run sharded runs, or `None`
+    /// if the strategy cannot be split (the engines then run on one shard,
+    /// which is byte-identical anyway, and record
+    /// [`crate::shard::ShardFallback::UnforkableDelays`]).
     ///
     /// A strategy may return `Some` **only if** it is a pure function of the
     /// `delay_ticks` arguments — each shard calls its fork for the shard's
     /// own senders only, so call *order and interleaving* differ from the
-    /// serial run, and any hidden sequential state (e.g. [`RandomDelay`]'s
+    /// one-shard run, and any hidden sequential state (e.g. [`RandomDelay`]'s
     /// RNG) would produce different delays. The default is `None`.
     fn fork(&self) -> Option<Box<dyn DelayStrategy + Send>> {
         None

@@ -17,12 +17,14 @@
 //! count: schedule wakes run first in ascending node-id order, then the
 //! tick's deliveries as one batch per receiving node, receivers ascending,
 //! each receiver's batch in channel send order (bucket insertion order is
-//! send order, and the per-receiver scatter preserves it). Canonicalizing
-//! the serial engine this way is what lets the sharded path (see
-//! [`AsyncConfig::shards`] and the `shard` module) reproduce its output
-//! byte for byte: shard-owned node ranges are contiguous and ascending, so
-//! draining cross-shard mailboxes phase-major/source-shard-major replays
-//! exactly this order.
+//! send order, and the per-receiver scatter preserves it). The engine has
+//! one executor, the shard worker: at one shard (see [`AsyncConfig::shards`]
+//! and the `shard` module) it runs inline on the calling thread and pushes
+//! sends straight into its wheel; at `k > 1` the canonical order is what
+//! lets the exchange reproduce the one-shard output byte for byte —
+//! shard-owned node ranges are contiguous and ascending, so draining
+//! cross-shard mailboxes phase-major/source-shard-major replays exactly
+//! this order.
 //!
 //! Message payloads live out-of-line in a [`PayloadArena`] (a refcounted
 //! slab with a free list): the handle created when a context enqueues a send
@@ -40,13 +42,17 @@ use wakeup_graph::NodeId;
 
 use crate::adversary::{DelayStrategy, UnitDelay, WakeSchedule};
 use crate::arena::{PayloadArena, PayloadRef};
-use crate::bits::{BitStr, DenseBits};
+use crate::bits::BitStr;
 use crate::knowledge::Port;
 use crate::message::ChannelModel;
-use crate::metrics::{Metrics, RunReport, TICKS_PER_UNIT};
+use crate::metrics::{RunReport, TICKS_PER_UNIT};
 use crate::network::{Network, NodeTables};
 use crate::protocol::{AsyncProtocol, Context, Inbox, Incoming, WakeCause};
-use crate::trace::{Trace, TraceEvent};
+use crate::shard::{
+    split_lengths, CrossPayload, DeliverEntry, NodeSlices, Recorders, RunArrays, RunPlan, RunTally,
+    ShardFallback, ShardMetrics, Worker, WorkerOut,
+};
+use crate::trace::Trace;
 
 /// Configuration of an [`AsyncEngine`] run.
 #[derive(Debug, Clone)]
@@ -84,13 +90,13 @@ pub struct AsyncConfig {
     /// generations, and advice reads.
     #[cfg(feature = "audit")]
     pub audit_capacity: Option<usize>,
-    /// Number of intra-run worker shards (default 1 = serial). With `K > 1`
-    /// the nodes are partitioned into `K` contiguous ranges advanced in
-    /// lockstep tick windows by `K` threads; output is byte-identical to
-    /// the serial run at any shard count. Runs that record traces or audit
-    /// logs, track ports, or use a delay strategy without a deterministic
-    /// [`DelayStrategy::fork`] fall back to the serial path silently (the
-    /// output is the same either way).
+    /// Number of intra-run worker shards (default 1: the one worker runs
+    /// inline on the calling thread). With `K > 1` the nodes are
+    /// partitioned into `K` contiguous ranges advanced in lockstep tick
+    /// windows by `K` threads; output is byte-identical at any shard count.
+    /// Runs that record traces or audit logs, or use a delay strategy
+    /// without a deterministic [`DelayStrategy::fork`], use one shard and
+    /// record why in [`crate::RuntimeCounters::shard_fallback`].
     pub shards: usize,
 }
 
@@ -119,23 +125,6 @@ impl Default for AsyncConfig {
 const WHEEL_SIZE: usize = (TICKS_PER_UNIT as usize + 1).next_power_of_two();
 const WHEEL_MASK: u64 = (WHEEL_SIZE - 1) as u64;
 const WHEEL_WORDS: usize = WHEEL_SIZE / 64;
-
-/// A pending delivery: a small `Copy` struct, payload behind an arena handle.
-#[derive(Clone, Copy, Debug)]
-struct DeliverEntry {
-    to: u32,
-    /// Identity runs: the sender's node index. Relabeled runs: a packed
-    /// `(τ − delay, phase, orig sender)` sort key from
-    /// [`crate::network::pack_entry_key`] — a stable ascending sort of a
-    /// receiver's batch by this key restores the identity-space batch
-    /// order, and masking with [`crate::network::FROM_IDX_MASK`] recovers
-    /// the original sender index. Identity runs mask with `u32::MAX`, so
-    /// one masked load serves both paths.
-    from: u32,
-    /// Receiver-side port number (1-based).
-    rport: u32,
-    msg: PayloadRef,
-}
 
 /// Bucketed timer wheel over the delivery horizon, with a word-packed
 /// occupancy bitmap for skipping empty ticks. Payloads live in the engine's
@@ -263,45 +252,37 @@ pub struct AsyncEngine<'n, P: AsyncProtocol> {
     scratch: AsyncScratch<P::Msg>,
 }
 
-/// Run-to-run reusable buffers: the wheel, the payload arena, the flat
-/// per-channel arrays, and the outbox/batch buffers lent to handlers. Kept
-/// in the engine so [`AsyncEngine::reset`]-then-[`AsyncEngine::run_mut`]
-/// trial loops recycle every steady-state allocation.
+/// Run-to-run reusable buffers: the flat per-channel arrays and one
+/// [`ShardScratch`] per worker. Kept in the engine so
+/// [`AsyncEngine::reset`]-then-[`AsyncEngine::run_mut`] trial loops recycle
+/// every steady-state allocation.
 struct AsyncScratch<M> {
-    wheel: TimerWheel,
-    arena: PayloadArena<M>,
     channel_next: Vec<u64>,
     channel_seq: Vec<u64>,
-    entries_buf: Vec<(Port, PayloadRef)>,
-    batch_buf: Vec<(Incoming, M)>,
-    /// Per-receiver scatter lists for the within-tick delivery phase,
-    /// lazily sized to `n` on first use.
-    pending: Vec<Vec<DeliverEntry>>,
-    /// Receivers with a non-empty `pending` list this tick.
-    touched: Vec<u32>,
-    /// Per-shard state for sharded runs; empty until the first `shards > 1`
-    /// run, rebuilt only when the shard count changes.
-    shards: Vec<AsyncShardScratch<M>>,
+    /// Per-worker state, rebuilt only when the shard count changes.
+    shards: Vec<ShardScratch<M>>,
 }
 
-/// Run-to-run reusable per-shard buffers (the sharded counterpart of the
-/// fields `AsyncScratch` holds once for serial runs).
-struct AsyncShardScratch<M> {
+/// One worker's run-to-run reusable buffers: the wheel, the payload arena,
+/// the per-receiver scatter lists, and the outbox/batch buffers lent to
+/// handlers, plus the stage buffers the exchange uses at `k > 1`.
+struct ShardScratch<M> {
     wheel: TimerWheel,
     arena: PayloadArena<M>,
+    /// Per-receiver scatter lists for the within-tick delivery phase,
+    /// lazily sized to the shard's node count.
     pending: Vec<Vec<DeliverEntry>>,
+    /// Receivers with a non-empty `pending` list this tick.
     touched: Vec<u32>,
     entries_buf: Vec<(Port, PayloadRef)>,
     batch_buf: Vec<(Incoming, M)>,
     /// Staged outbound messages, one buffer per `(destination shard, phase)`.
     stage: Vec<Vec<CrossMsg<M>>>,
-    /// Scratch a mailbox cell is swapped into while draining.
-    drain_buf: Vec<CrossMsg<M>>,
 }
 
-impl<M> AsyncShardScratch<M> {
-    fn new(k: usize) -> AsyncShardScratch<M> {
-        AsyncShardScratch {
+impl<M> ShardScratch<M> {
+    fn new(k: usize) -> ShardScratch<M> {
+        ShardScratch {
             wheel: TimerWheel::new(),
             arena: PayloadArena::default(),
             pending: Vec::new(),
@@ -309,7 +290,6 @@ impl<M> AsyncShardScratch<M> {
             entries_buf: Vec::new(),
             batch_buf: Vec::new(),
             stage: (0..k * crate::shard::PHASES).map(|_| Vec::new()).collect(),
-            drain_buf: Vec::new(),
         }
     }
 }
@@ -320,26 +300,17 @@ struct CrossMsg<M> {
     to: u32,
     from: u32,
     rport: u32,
-    payload: crate::shard::CrossPayload<M>,
+    payload: CrossPayload<M>,
 }
 
-/// What each shard publishes at a window boundary for the coordinator.
+/// A worker's progress since its last summary.
 #[derive(Clone, Copy)]
-struct AsyncPublished {
+struct AsyncProgress {
     /// Earliest future event this shard knows about (its own pending wakes,
     /// its wheel, and the sends it just staged); `u64::MAX` when none.
     next_event: u64,
-    /// Events processed in the window just finished (for the global cap).
+    /// Events processed since the last summary (for the global cap).
     new_events: u64,
-}
-
-impl Default for AsyncPublished {
-    fn default() -> AsyncPublished {
-        AsyncPublished {
-            next_event: u64::MAX,
-            new_events: 0,
-        }
-    }
 }
 
 impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
@@ -367,13 +338,7 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         // Trace and audit logs expose per-event ordering, which relabeled
         // execution permutes within ticks — those runs stay in identity
         // space for their whole lifetime.
-        #[allow(unused_mut)]
-        let mut identity_only = config.trace_capacity.is_some();
-        #[cfg(feature = "audit")]
-        {
-            identity_only = identity_only || config.audit_capacity.is_some();
-        }
-        let space = if identity_only {
+        let space = if recorders(&config).is_on() {
             None
         } else {
             net.run_space().cloned()
@@ -400,14 +365,8 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
             config,
             protocols,
             scratch: AsyncScratch {
-                wheel: TimerWheel::new(),
-                arena: PayloadArena::default(),
                 channel_next: vec![0; dir_edges],
                 channel_seq: vec![0; dir_edges],
-                entries_buf: Vec::new(),
-                batch_buf: Vec::new(),
-                pending: Vec::new(),
-                touched: Vec::new(),
                 shards: Vec::new(),
             },
         }
@@ -465,206 +424,131 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         schedule: &WakeSchedule,
         delays: &mut dyn DelayStrategy,
     ) -> RunReport {
-        if let Some(forks) = self.sharded_eligible(delays) {
-            return self.run_sharded(schedule, forks);
-        }
-        // Relabel eligibility beyond the construction-time gate: the delay
-        // strategy must be a pure function of its arguments (the `fork`
-        // contract) — a relabeled run calls it in a different within-tick
-        // interleaving, so hidden sequential state would change delays.
-        // Ineligible runs execute in identity space over the original
+        // Recording runs and runs whose delay strategy has no deterministic
+        // `fork` use one shard: a sharded run calls one fork per shard, and a
+        // relabeled run calls the strategy in a different within-tick
+        // interleaving, so hidden sequential state would change the delays.
+        // Non-forkable runs also execute in identity space over the original
         // tables; the output is byte-identical either way.
-        let space = match &self.space {
-            Some(s) if delays.fork().is_some() => Some(Arc::clone(s)),
-            _ => None,
+        let forkable = delays.fork().is_some();
+        let mut rec = recorders(&self.config);
+        let forced = rec
+            .fallback()
+            .or((!forkable).then_some(ShardFallback::UnforkableDelays));
+        let (rel, tables) = match &self.space {
+            Some(s) if forkable => (Some(&*s.rel), &*self.tables),
+            _ => (None, &**self.net.tables()),
         };
-        let rel = space.as_ref().map(|s| &*s.rel);
+        let plan = RunPlan::new(self.net.n(), self.config.shards, forced, rel, tables);
         let net = &*self.net;
-        let tables: &NodeTables = if self.space.is_some() && space.is_none() {
-            self.net.tables()
-        } else {
-            &self.tables
-        };
         let config = &self.config;
-        let n = net.n();
-        self.scratch.wheel.clear();
-        self.scratch.arena.clear();
+        let k = plan.shards.k;
+        if self.scratch.shards.len() != k {
+            self.scratch.shards = (0..k).map(|_| ShardScratch::new(k)).collect();
+        }
         self.scratch.channel_next.fill(0);
         self.scratch.channel_seq.fill(0);
-        if self.scratch.pending.len() < n {
-            self.scratch.pending.resize_with(n, Vec::new);
-        }
-        // Canonical wake order: (tick, node id), not schedule entry order.
-        // Relabeled runs sort by run id — the packed entry keys restore the
-        // identity engine's per-receiver delivery order afterwards.
-        let mut wakes: Vec<(u64, NodeId)> = schedule.entries().to_vec();
         if let Some(rel) = rel {
-            for w in &mut wakes {
-                w.1 = NodeId::new(rel.to_run(w.1.index()));
-            }
             rel.permute_to_run(&mut self.protocols);
         }
-        wakes.sort_unstable_by_key(|&(tick, v)| (tick, v));
-        let mut st = RunState {
-            net,
-            send_run: crate::obs::PairRun::new(),
-            tables,
-            config,
-            rel,
-            from_mask: if rel.is_some() {
-                crate::network::FROM_IDX_MASK
-            } else {
-                u32::MAX
-            },
-            phase: 0,
-            protocols: &mut self.protocols,
-            metrics: Metrics::new(n),
-            obs: crate::obs::Obs::with_windows(n, config.obs, config.obs_windows),
-            outputs: vec![None; n],
-            awake: vec![false; n],
-            awake_count: 0,
-            wheel: &mut self.scratch.wheel,
-            arena: &mut self.scratch.arena,
-            channel_next: &mut self.scratch.channel_next,
-            channel_seq: &mut self.scratch.channel_seq,
-            ports_touched: if config.track_ports {
-                DenseBits::new(tables.directed_edges())
-            } else {
-                DenseBits::default()
-            },
-            trace: config.trace_capacity.map(Trace::with_capacity),
-            #[cfg(feature = "audit")]
-            audit: config
-                .audit_capacity
-                .map(crate::audit::AuditLog::with_capacity),
-            entries_buf: std::mem::take(&mut self.scratch.entries_buf),
-            batch_buf: std::mem::take(&mut self.scratch.batch_buf),
+        let slots = |s: usize| {
+            let (lo, hi) = plan.shards.range(s);
+            tables.edge_offset[hi] - tables.edge_offset[lo]
         };
-        let mut wake_cursor = 0usize;
-        let mut processed = 0u64;
-        let mut truncated = false;
-        // Batch sizes accumulate in registers across the whole event loop
-        // (one spill per size change) rather than one histogram
-        // read-modify-write per batch — see `ValueRun`.
-        let obs_full = config.obs == crate::obs::ObsLevel::Full;
-        let mut batch_run = crate::obs::ValueRun::new();
-        if let Some(&(first_tick, _)) = wakes.first() {
-            let mut now = first_tick;
-            let mut pending = std::mem::take(&mut self.scratch.pending);
-            let mut touched = std::mem::take(&mut self.scratch.touched);
+        let channels = split_lengths(&mut self.scratch.channel_next, (0..k).map(slots)).zip(
+            split_lengths(&mut self.scratch.channel_seq, (0..k).map(slots)),
+        );
+        let mut arrays = RunArrays::new(net.n());
+        let per_shard = self
+            .scratch
+            .shards
+            .iter_mut()
+            .zip(arrays.split(&mut self.protocols, &plan.shards))
+            .zip(plan.wakes(schedule, 1))
+            .zip(channels);
+        let mut workers: Vec<AsyncShard<'_, P>> = Vec::with_capacity(k);
+        for (s, (((sc, nodes), wakes), (channel_next, channel_seq))) in per_shard.enumerate() {
+            let (lo, hi) = plan.shards.range(s);
+            sc.wheel.clear();
+            sc.arena.clear();
+            if sc.pending.len() < hi - lo {
+                sc.pending.resize_with(hi - lo, Vec::new);
+            }
+            workers.push(AsyncShard {
+                me: s,
+                lo,
+                edge_base: tables.edge_offset[lo],
+                plan: plan.shards,
+                net,
+                tables,
+                config,
+                nodes,
+                channel_next,
+                channel_seq,
+                sm: ShardMetrics::new(config.track_ports, slots(s)),
+                obs: crate::obs::ShardObs::new(hi - lo, config.obs, config.obs_windows),
+                rec: std::mem::take(&mut rec),
+                send_run: crate::obs::PairRun::new(),
+                batch_run: crate::obs::ValueRun::new(),
+                sc,
+                wakes,
+                cursor: 0,
+                fork: None,
+                rel,
+                from_mask: plan.sender_mask(),
+                phase: 0,
+                staged_min: u64::MAX,
+                new_events: 0,
+                prev_tick: 0,
+            });
+        }
+        // The next tick is the globally earliest pending event — the safe
+        // horizon under τ-lookahead. The event cap is checked at window
+        // boundaries only, so a truncation point never depends on
+        // within-tick processing order or on the shard count.
+        let mut tally = RunTally::default();
+        let mut primed = false;
+        let mut next = |p: AsyncProgress| {
+            tally.events += p.new_events;
+            // Runtime diag: a window in which no shard processed anything
+            // is a pure horizon-advance stall (the priming summary precedes
+            // any processing by construction).
+            if p.new_events == 0 && primed && p.next_event != u64::MAX {
+                tally.stall_rounds += 1;
+            }
+            primed = true;
+            if tally.events > config.max_events {
+                tally.truncated = true;
+                return u64::MAX;
+            }
+            p.next_event
+        };
+        if let [w] = workers.as_mut_slice() {
+            // One shard: the worker runs inline, pushing sends straight
+            // into its wheel — no thread, barrier, or mailbox.
             loop {
-                // Phase 0: schedule wakes at `now`, ascending node id (the
-                // canonical within-tick order — see the module docs).
-                st.phase = 0;
-                while wake_cursor < wakes.len() && wakes[wake_cursor].0 == now {
-                    let v = wakes[wake_cursor].1;
-                    wake_cursor += 1;
-                    processed += 1;
-                    if !st.awake[v.index()] {
-                        st.wake_node(v, WakeCause::Adversary, now, delays);
-                    }
-                }
-                // Phase 1: deliveries at `now`, one batch per receiver,
-                // receivers ascending. The scatter keeps each receiver's
-                // entries in bucket — i.e. channel send — order; relabeled
-                // runs re-sort each batch by the packed entry key to
-                // restore the identity engine's order.
-                st.phase = 1;
-                let bucket = st.wheel.take_bucket(now);
-                processed += bucket.len() as u64;
-                st.obs.tl_delivered(now, bucket.len() as u64);
-                for &e in bucket.iter() {
-                    let pend = &mut pending[e.to as usize];
-                    if pend.is_empty() {
-                        touched.push(e.to);
-                    }
-                    pend.push(e);
-                }
-                touched.sort_unstable();
-                let relabeled = st.rel.is_some();
-                for (i, &to) in touched.iter().enumerate() {
-                    // Pull the next receiver's protocol row and scatter
-                    // list toward the cache while this batch is handled —
-                    // after relabeling, consecutive receivers are adjacent
-                    // in memory, so one line often covers several.
-                    if let Some(&nx) = touched.get(i + 1) {
-                        crate::prefetch::prefetch_index(st.protocols, nx as usize);
-                        crate::prefetch::prefetch_index(&pending, nx as usize);
-                    }
-                    let mut pend = std::mem::take(&mut pending[to as usize]);
-                    if relabeled && pend.len() > 1 {
-                        pend.sort_by_key(|e| e.from);
-                    }
-                    if obs_full {
-                        batch_run.note(&mut st.obs.batch_sizes, pend.len() as u64);
-                    }
-                    st.deliver_batch(&pend, now, delays);
-                    pend.clear();
-                    pending[to as usize] = pend;
-                }
-                touched.clear();
-                st.wheel.restore_bucket(bucket);
-                // The event cap is checked at tick boundaries only, so a
-                // truncation point never depends on within-tick processing
-                // order or on the shard count. Undelivered payloads stay in
-                // the arena until the next run's `clear`.
-                if processed > config.max_events {
-                    truncated = true;
+                let now = next(w.progress());
+                if now == u64::MAX {
                     break;
                 }
-                let next_wake = wakes.get(wake_cursor).map(|&(tick, _)| tick);
-                let wheel_next = st.wheel.next_occupied_after(now);
-                if let Some(d) = wheel_next {
-                    // Runtime diag: deepest forward scan the wheel performed
-                    // (once per tick advance, never per event).
-                    st.obs.runtime.wheel_max_scan = st.obs.runtime.wheel_max_scan.max(d - now);
-                }
-                now = match (next_wake, wheel_next) {
-                    (Some(w), Some(d)) => w.min(d),
-                    (Some(w), None) => w,
-                    (None, Some(d)) => d,
-                    (None, None) => break,
-                };
+                w.process_tick(now, delays);
             }
-            self.scratch.pending = pending;
-            self.scratch.touched = touched;
+            w.finish();
+        } else {
+            for w in &mut workers {
+                w.fork = delays.fork();
+            }
+            crate::shard::exchange(&mut workers, |ps| {
+                next(AsyncProgress {
+                    next_event: ps.iter().map(|p| p.next_event).min().unwrap_or(u64::MAX),
+                    new_events: ps.iter().map(|p| p.new_events).sum(),
+                })
+            });
         }
-        if config.track_ports {
-            st.metrics.ports_used = Some(
-                (0..n)
-                    .map(|v| {
-                        st.ports_touched
-                            .count_range(tables.edge_offset[v], tables.edge_offset[v + 1])
-                            as u32
-                    })
-                    .collect(),
-            );
-        }
-        batch_run.flush(&mut st.obs.batch_sizes);
-        st.send_run
-            .flush(&mut st.obs.message_bits, &mut st.obs.delay_ticks);
-        st.obs.timeline.finish();
-        st.obs.events = processed;
-        st.obs.runtime.shards = 1;
-        st.obs.runtime.arena_high_water = st.arena.high_water() as u64;
-        st.obs.runtime.prefetch_batches = st.obs.batch_sizes.count();
-        st.obs.runtime.relabel_applied = rel.is_some();
-        crate::obs::add_global_events(processed);
-        let mut report = RunReport {
-            all_awake: st.awake_count == n,
-            rounds: 0,
-            outputs: st.outputs,
-            truncated,
-            metrics: st.metrics,
-            trace: st.trace,
-            obs: st.obs,
-            #[cfg(feature = "audit")]
-            audit_log: st.audit,
-        };
-        self.scratch.entries_buf = st.entries_buf;
-        self.scratch.batch_buf = st.batch_buf;
+        // Consume the workers first: that ends their borrows of `arrays`.
+        let outs = workers.into_iter().map(AsyncShard::into_out).collect();
+        let report = plan.report(arrays, outs, tally, config.obs, config.track_ports);
         if let Some(rel) = rel {
-            crate::network::unpermute_report(rel, &mut report);
             rel.permute_to_orig(&mut self.protocols);
         }
         report
@@ -674,673 +558,77 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
     pub fn protocols(&self) -> &[P] {
         &self.protocols
     }
+}
 
-    /// Decides whether this run can take the sharded path, and if so forks
-    /// the delay strategy once per shard. Trace/audit recording, port
-    /// tracking, and unforkable (history-dependent) delay strategies fall
-    /// back to the serial path — which produces identical output, so the
-    /// fallback is safe to keep silent.
-    fn sharded_eligible(
-        &self,
-        delays: &mut dyn DelayStrategy,
-    ) -> Option<Vec<Box<dyn DelayStrategy + Send>>> {
-        if self.config.shards <= 1
-            || self.config.trace_capacity.is_some()
-            || self.config.track_ports
-        {
-            return None;
-        }
+/// The recorders `config` asks for (both off by default).
+fn recorders(config: &AsyncConfig) -> Recorders {
+    Recorders {
+        trace: config.trace_capacity.map(Trace::with_capacity),
         #[cfg(feature = "audit")]
-        if self.config.audit_capacity.is_some() {
-            return None;
-        }
-        let plan = crate::shard::ShardPlan::new(self.net.n(), self.config.shards);
-        if plan.k <= 1 {
-            return None;
-        }
-        (0..plan.k).map(|_| delays.fork()).collect()
-    }
-
-    /// The sharded run: `K` workers advance their node ranges in lockstep
-    /// tick windows under the τ-lookahead guarantee, coordinated by this
-    /// thread through a two-phase barrier per window. See the `shard`
-    /// module docs for the protocol and the determinism argument.
-    fn run_sharded(
-        &mut self,
-        schedule: &WakeSchedule,
-        forks: Vec<Box<dyn DelayStrategy + Send>>,
-    ) -> RunReport {
-        use crate::shard::{split_lengths, Cells, ShardMetrics, ShardPlan};
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::{Barrier, Mutex};
-
-        let net = &*self.net;
-        let tables = &*self.tables;
-        let config = &self.config;
-        // `sharded_eligible` demands a forkable strategy per shard, so a
-        // sharded run on a network with a run space always relabels (no
-        // run-time fallback as in the serial path). `self.tables` is already
-        // the run-space table set, and the shard plan's contiguous node
-        // ranges are therefore contiguous in locality order.
-        let rel = self.space.as_deref().map(|s| &*s.rel);
-        let n = net.n();
-        let plan = ShardPlan::new(n, config.shards);
-        let k = plan.k;
-        if self.scratch.shards.len() != k {
-            self.scratch.shards = (0..k).map(|_| AsyncShardScratch::new(k)).collect();
-        }
-        self.scratch.channel_next.fill(0);
-        self.scratch.channel_seq.fill(0);
-        let mut wakes_all: Vec<(u64, NodeId)> = schedule.entries().to_vec();
-        if let Some(rel) = rel {
-            for w in &mut wakes_all {
-                w.1 = NodeId::new(rel.to_run(w.1.index()));
-            }
-            rel.permute_to_run(&mut self.protocols);
-        }
-        wakes_all.sort_unstable_by_key(|&(tick, v)| (tick, v));
-        let mut metrics = Metrics::new(n);
-        let mut outputs: Vec<Option<u64>> = vec![None; n];
-        let mut awake = vec![false; n];
-        let node_lens: Vec<usize> = (0..k)
-            .map(|s| {
-                let (lo, hi) = plan.range(s);
-                hi - lo
-            })
-            .collect();
-        let edge_lens: Vec<usize> = (0..k)
-            .map(|s| {
-                let (lo, hi) = plan.range(s);
-                tables.edge_offset[hi] - tables.edge_offset[lo]
-            })
-            .collect();
-        let mut prot_it = split_lengths(self.protocols.as_mut_slice(), &node_lens).into_iter();
-        let mut out_it = split_lengths(outputs.as_mut_slice(), &node_lens).into_iter();
-        let mut awake_it = split_lengths(awake.as_mut_slice(), &node_lens).into_iter();
-        let mut wt_it = split_lengths(metrics.wake_tick.as_mut_slice(), &node_lens).into_iter();
-        let mut sb_it = split_lengths(metrics.sent_by.as_mut_slice(), &node_lens).into_iter();
-        let mut rb_it = split_lengths(metrics.received_by.as_mut_slice(), &node_lens).into_iter();
-        let mut cn_it =
-            split_lengths(self.scratch.channel_next.as_mut_slice(), &edge_lens).into_iter();
-        let mut cs_it =
-            split_lengths(self.scratch.channel_seq.as_mut_slice(), &edge_lens).into_iter();
-        let mut fork_it = forks.into_iter();
-        let mut workers: Vec<AsyncShard<'_, P>> = Vec::with_capacity(k);
-        for (s, scr) in self.scratch.shards.iter_mut().enumerate() {
-            let (lo, hi) = plan.range(s);
-            let local_n = hi - lo;
-            let AsyncShardScratch {
-                wheel,
-                arena,
-                pending,
-                touched,
-                entries_buf,
-                batch_buf,
-                stage,
-                drain_buf,
-            } = scr;
-            wheel.clear();
-            arena.clear();
-            if pending.len() < local_n {
-                pending.resize_with(local_n, Vec::new);
-            }
-            touched.clear();
-            let wakes: Vec<(u64, NodeId)> = wakes_all
-                .iter()
-                .copied()
-                .filter(|&(_, v)| v.index() >= lo && v.index() < hi)
-                .collect();
-            workers.push(AsyncShard {
-                me: s,
-                lo,
-                plan,
-                net,
-                tables,
-                config,
-                protocols: prot_it.next().unwrap(),
-                outputs: out_it.next().unwrap(),
-                awake: awake_it.next().unwrap(),
-                wake_tick: wt_it.next().unwrap(),
-                sent_by: sb_it.next().unwrap(),
-                received_by: rb_it.next().unwrap(),
-                channel_next: cn_it.next().unwrap(),
-                channel_seq: cs_it.next().unwrap(),
-                edge_base: tables.edge_offset[lo],
-                sm: ShardMetrics::default(),
-                obs: crate::obs::ShardObs::new(local_n, config.obs, config.obs_windows),
-                send_run: crate::obs::PairRun::new(),
-                batch_run: crate::obs::ValueRun::new(),
-                wheel,
-                arena,
-                pending,
-                touched,
-                entries_buf,
-                batch_buf,
-                stage,
-                drain_buf,
-                wakes,
-                cursor: 0,
-                delays: fork_it.next().unwrap(),
-                rel,
-                from_mask: if rel.is_some() {
-                    crate::network::FROM_IDX_MASK
-                } else {
-                    u32::MAX
-                },
-                phase: 0,
-                staged_min: u64::MAX,
-                new_events: 0,
-                prev_tick: 0,
-            });
-        }
-        let cells: Cells<CrossMsg<P::Msg>> = Cells::new(k);
-        let slots: Vec<Mutex<AsyncPublished>> = (0..k)
-            .map(|_| Mutex::new(AsyncPublished::default()))
-            .collect();
-        let barrier = Barrier::new(k + 1);
-        let decision = AtomicU64::new(0);
-        let mut processed = 0u64;
-        let mut truncated = false;
-        let mut stall_rounds = 0u64;
-        std::thread::scope(|scope| {
-            let cells = &cells;
-            let slots = &slots;
-            let barrier = &barrier;
-            let decision = &decision;
-            for w in &mut workers {
-                scope.spawn(move || w.run(cells, slots, decision, barrier));
-            }
-            // Coordinator: pick the globally earliest next event (the safe
-            // horizon under τ-lookahead), or stop on quiescence / the cap.
-            let mut first_round = true;
-            loop {
-                barrier.wait();
-                let mut next = u64::MAX;
-                let mut round_events = 0u64;
-                for slot in slots {
-                    let p = *slot.lock().unwrap();
-                    next = next.min(p.next_event);
-                    round_events += p.new_events;
-                }
-                processed += round_events;
-                // Runtime diag: a barrier round in which no shard processed
-                // anything is a pure horizon-advance stall (skip the priming
-                // round — nothing has run yet by construction).
-                if round_events == 0 && !first_round && next != u64::MAX {
-                    stall_rounds += 1;
-                }
-                first_round = false;
-                if processed > config.max_events {
-                    truncated = true;
-                    next = u64::MAX;
-                }
-                decision.store(next, Ordering::Relaxed);
-                barrier.wait();
-                if next == u64::MAX {
-                    break;
-                }
-            }
-        });
-        // Consume the workers first: their field moves end the slice borrows
-        // of `metrics`, so the scalar merge below can take it mutably.
-        let (sms, obs_shards): (Vec<ShardMetrics>, Vec<crate::obs::ShardObs>) =
-            workers.into_iter().map(|w| (w.sm, w.obs)).unzip();
-        let mut awake_total = 0usize;
-        for sm in &sms {
-            sm.merge_into(&mut metrics);
-            awake_total += sm.awake_count;
-        }
-        let all_awake = awake_total == n;
-        if all_awake {
-            // The last wake is the all-awake moment (wake ticks are set from
-            // a monotone cursor, exactly as the serial engine records it).
-            metrics.all_awake_tick = metrics.wake_tick.iter().filter_map(|&t| t).max();
-        }
-        let mut obs = crate::obs::merge_shard_obs(n, config.obs, &obs_shards);
-        obs.events = processed;
-        obs.runtime.stall_rounds = stall_rounds;
-        obs.runtime.prefetch_batches = obs.batch_sizes.count();
-        obs.runtime.relabel_applied = rel.is_some();
-        crate::obs::add_global_events(processed);
-        let mut report = RunReport {
-            all_awake,
-            rounds: 0,
-            outputs,
-            truncated,
-            metrics,
-            trace: None,
-            obs,
-            #[cfg(feature = "audit")]
-            audit_log: None,
-        };
-        if let Some(rel) = rel {
-            crate::network::unpermute_report(rel, &mut report);
-            rel.permute_to_orig(&mut self.protocols);
-        }
-        report
+        audit: config
+            .audit_capacity
+            .map(crate::audit::AuditLog::with_capacity),
     }
 }
 
-/// All mutable state of one engine run, so the wake/deliver/dispatch helpers
-/// are methods instead of functions threading a dozen `&mut` parameters.
-struct RunState<'e, P: AsyncProtocol> {
-    net: &'e Network,
-    /// Packed (payload bits, delivery delay) run accumulator for the two
-    /// send histograms; lives for the whole run and is flushed once, so the
-    /// common all-sends-identical case costs one compare per message and no
-    /// per-dispatch histogram traffic.
-    send_run: crate::obs::PairRun,
-    tables: &'e NodeTables,
-    config: &'e AsyncConfig,
-    /// `Some` iff this run executes in the locality-ordered run space: node
-    /// indices in `awake`/`outputs`/`protocols`/metrics arrays are run ids,
-    /// and pending-entry `from` fields carry packed sort keys.
-    rel: Option<&'e wakeup_graph::Relabeling>,
-    /// Extracts the original sender index from an entry's `from` field
-    /// ([`crate::network::FROM_IDX_MASK`] when relabeled, all-ones when
-    /// not — one masked load serves both paths).
-    from_mask: u32,
-    /// Current within-tick phase (0 = schedule wakes, 1 = deliveries),
-    /// mirrored from the main loop for span keys and packed entry keys.
-    phase: u8,
-    protocols: &'e mut [P],
-    metrics: Metrics,
-    /// Always-on observability accumulator (histograms, phases, wake preds).
-    obs: crate::obs::Obs,
-    outputs: Vec<Option<u64>>,
-    awake: Vec<bool>,
-    awake_count: usize,
-    wheel: &'e mut TimerWheel,
-    /// Payload storage shared by the wheel entries and the handler contexts.
-    arena: &'e mut PayloadArena<P::Msg>,
-    /// Per directed-edge slot: latest delivery tick scheduled on the channel
-    /// (the FIFO horizon — the seed's `last_scheduled` hash map, flattened).
-    channel_next: &'e mut [u64],
-    /// Per directed-edge slot: messages sent so far on the channel.
-    channel_seq: &'e mut [u64],
-    /// Directed-edge slots over which a message was sent or received; empty
-    /// unless `track_ports`.
-    ports_touched: DenseBits,
-    trace: Option<Trace>,
-    /// Model-conformance event recorder (`audit` feature, off by default).
-    #[cfg(feature = "audit")]
-    audit: Option<crate::audit::AuditLog>,
-    /// Reusable outbox buffer lent to every handler invocation.
-    entries_buf: Vec<(Port, PayloadRef)>,
-    /// Reusable materialized-inbox buffer lent to every batch delivery.
-    batch_buf: Vec<(Incoming, P::Msg)>,
-}
-
-impl<P: AsyncProtocol> RunState<'_, P> {
-    fn wake_node(
-        &mut self,
-        v: NodeId,
-        cause: WakeCause,
-        tick: u64,
-        delays: &mut dyn DelayStrategy,
-    ) {
-        // `v` is a run id when relabeled; everything the outside world can
-        // see (trace, audit, the protocol's Context) gets the original id.
-        let ov = self
-            .rel
-            .map_or(v, |rel| NodeId::new(rel.to_orig(v.index())));
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent::Wake {
-                tick,
-                node: ov,
-                cause,
-            });
-        }
-        #[cfg(feature = "audit")]
-        if let Some(log) = self.audit.as_mut() {
-            log.record(crate::audit::AuditEvent::Wake {
-                tick,
-                node: ov.index() as u32,
-                cause,
-            });
-            // A node consults its advice exactly when it wakes; the length
-            // recorded here is what the advice-accounting invariant checks
-            // against the oracle's assignment.
-            if let Some(advice) = self.config.advice.as_deref() {
-                log.record(crate::audit::AuditEvent::AdviceRead {
-                    tick,
-                    node: ov.index() as u32,
-                    bits: advice[ov.index()].len() as u32,
-                });
-            }
-        }
-        self.awake[v.index()] = true;
-        self.awake_count += 1;
-        self.obs.tl_wakes(tick, 1);
-        self.metrics.wake_tick[v.index()] = Some(tick);
-        self.metrics.first_wake_tick =
-            Some(self.metrics.first_wake_tick.map_or(tick, |t| t.min(tick)));
-        if self.awake_count == self.awake.len() {
-            self.metrics.all_awake_tick = Some(tick);
-        }
-        if self.rel.is_some() {
-            self.obs
-                .phases
-                .set_handler(tick, self.phase, ov.index() as u32);
-        }
-        let mut entries = std::mem::take(&mut self.entries_buf);
-        let mut ctx = Context::new(
-            ov,
-            self.net.graph().degree(ov),
-            self.net.mode(),
-            self.tables.id_to_port(v.index()),
-            &mut entries,
-            self.arena,
-            self.config.channel,
-            self.config.record_congest_violations,
-            &mut self.metrics.congest_violations,
-            &mut self.outputs[v.index()],
-            &mut self.obs.phases,
-            tick,
-        );
-        self.protocols[v.index()].on_wake(&mut ctx, cause);
-        self.dispatch_outbox(&mut entries, v, tick, delays);
-        self.entries_buf = entries;
-    }
-
-    /// Delivers a maximal run of same-tick, same-receiver entries: metrics
-    /// and traces per entry, wake-on-message once, one batch handler call,
-    /// one dispatch. Equivalent to delivering the entries one by one — the
-    /// handler's sends land in strictly later ticks either way, so nothing
-    /// this batch does can affect the rest of the current bucket.
-    fn deliver_batch(
-        &mut self,
-        entries: &[DeliverEntry],
-        tick: u64,
-        delays: &mut dyn DelayStrategy,
-    ) {
-        let to = NodeId::new(entries[0].to as usize);
-        let ot = self
-            .rel
-            .map_or(to, |rel| NodeId::new(rel.to_orig(to.index())));
-        self.metrics.received_by[to.index()] += entries.len() as u64;
-        self.metrics.last_receipt_tick =
-            Some(self.metrics.last_receipt_tick.map_or(tick, |t| t.max(tick)));
-        if let Some(tr) = self.trace.as_mut() {
-            for e in entries {
-                tr.record(TraceEvent::Deliver {
-                    tick,
-                    from: NodeId::new((e.from & self.from_mask) as usize),
-                    to: ot,
-                });
-            }
-        }
-        // Deliveries are recorded before the wake they may cause (below), so
-        // the wake-causality invariant can stream the log in order.
-        #[cfg(feature = "audit")]
-        if let Some(log) = self.audit.as_mut() {
-            for e in entries {
-                log.record(crate::audit::AuditEvent::Deliver {
-                    tick,
-                    from: e.from & self.from_mask,
-                    to: ot.index() as u32,
-                    slot: e.msg.slot(),
-                    gen: e.msg.generation(),
-                });
-            }
-        }
-        if self.config.track_ports {
-            for e in entries {
-                self.ports_touched
-                    .set(self.tables.slot(to, Port::new(e.rport as usize)));
-            }
-        }
-        if !self.awake[to.index()] {
-            // The batch's first entry is the delivery that wakes `to`: its
-            // sender becomes `to`'s predecessor in the causal wake forest.
-            self.obs
-                .note_wake_pred(to.index(), entries[0].from & self.from_mask);
-            self.wake_node(to, WakeCause::Message, tick, delays);
-        }
-        let kt1 = self.net.mode() == crate::knowledge::KnowledgeMode::Kt1;
-        let mut batch = std::mem::take(&mut self.batch_buf);
-        debug_assert!(batch.is_empty());
-        for e in entries {
-            let sender_id = kt1.then(|| {
-                self.net
-                    .ids()
-                    .id(NodeId::new((e.from & self.from_mask) as usize))
-            });
-            batch.push((
-                Incoming {
-                    port: Port::new(e.rport as usize),
-                    sender_id,
-                },
-                self.arena.take(e.msg),
-            ));
-        }
-        let mut inbox = Inbox::new(&mut batch);
-        let mut out_entries = std::mem::take(&mut self.entries_buf);
-        if self.rel.is_some() {
-            self.obs
-                .phases
-                .set_handler(tick, self.phase, ot.index() as u32);
-        }
-        let mut ctx = Context::new(
-            ot,
-            self.net.graph().degree(ot),
-            self.net.mode(),
-            self.tables.id_to_port(to.index()),
-            &mut out_entries,
-            self.arena,
-            self.config.channel,
-            self.config.record_congest_violations,
-            &mut self.metrics.congest_violations,
-            &mut self.outputs[to.index()],
-            &mut self.obs.phases,
-            tick,
-        );
-        self.protocols[to.index()].on_messages_batch(&mut ctx, &mut inbox);
-        drop(inbox);
-        self.dispatch_outbox(&mut out_entries, to, tick, delays);
-        self.entries_buf = out_entries;
-        self.batch_buf = batch;
-    }
-
-    fn dispatch_outbox(
-        &mut self,
-        entries: &mut Vec<(Port, PayloadRef)>,
-        from: NodeId,
-        tick: u64,
-        delays: &mut dyn DelayStrategy,
-    ) {
-        // Most handler invocations send nothing (e.g. an already-awake flood
-        // node ignoring a duplicate) — skip everything, including the
-        // histogram flush below, for an empty outbox.
-        if entries.is_empty() {
-            return;
-        }
-        let obs_full = self.obs.level() == crate::obs::ObsLevel::Full;
-        // Timeline send sums stay in registers across the outbox (every
-        // entry shares the dispatch `tick`); one recorder update per outbox
-        // keeps struct-field read-modify-writes off the loop-carried path.
-        let (mut tl_sends, mut tl_bits) = (0u64, 0u64);
-        let of = self
-            .rel
-            .map_or(from, |rel| NodeId::new(rel.to_orig(from.index())));
-        for (port, r) in entries.drain(..) {
-            let slot = self.tables.slot(from, port);
-            let hot = self.tables.edge_hot[slot];
-            let to = NodeId::new(hot.to as usize);
-            // The delay strategy is part of the oblivious adversary: it
-            // must see original ids regardless of the execution space.
-            let ot = self
-                .rel
-                .map_or(to, |rel| NodeId::new(rel.to_orig(to.index())));
-            let bits = self.arena.bits(r);
-            if let Some(tr) = self.trace.as_mut() {
-                tr.record(TraceEvent::Send {
-                    tick,
-                    from: of,
-                    to: ot,
-                    bits,
-                });
-            }
-            #[cfg(feature = "audit")]
-            if let Some(log) = self.audit.as_mut() {
-                log.record(crate::audit::AuditEvent::Send {
-                    tick,
-                    from: of.index() as u32,
-                    to: ot.index() as u32,
-                    bits: bits as u32,
-                    slot: r.slot(),
-                    gen: r.generation(),
-                });
-            }
-            self.metrics.messages_sent += 1;
-            self.metrics.bits_sent += bits as u64;
-            self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
-            self.metrics.sent_by[from.index()] += 1;
-            if self.config.track_ports {
-                self.ports_touched.set(slot);
-            }
-            let delay = delays
-                .delay_ticks(of, ot, tick, self.channel_seq[slot])
-                .clamp(1, TICKS_PER_UNIT);
-            self.channel_seq[slot] += 1;
-            // FIFO per channel: never deliver before an earlier message on
-            // the same channel; equal ticks keep send order because bucket
-            // insertion order is send order.
-            let deliver = (tick + delay).max(self.channel_next[slot]);
-            self.channel_next[slot] = deliver;
-            // One packed compare per message covers both send histograms;
-            // per-message `record` calls would put six memory
-            // read-modify-writes on the loop-carried path and blow the
-            // obs_overhead budget.
-            if obs_full {
-                self.send_run.note(
-                    &mut self.obs.message_bits,
-                    &mut self.obs.delay_ticks,
-                    bits as u64,
-                    deliver - tick,
-                );
-                tl_sends += 1;
-                tl_bits += bits as u64;
-            }
-            // The receiver-side port is the paper's port_to(to, from),
-            // precomputed per directed edge. The enqueue-time payload handle
-            // rides the wheel untouched.
-            let entry = DeliverEntry {
-                to: hot.to,
-                from: if self.rel.is_some() {
-                    crate::network::pack_entry_key(deliver - tick, self.phase, of.index() as u32)
-                } else {
-                    from.index() as u32
-                },
-                rport: hot.rport,
-                msg: r,
-            };
-            self.wheel.push(tick, deliver, entry);
-        }
-        if obs_full {
-            // Timeline sends are attributed at the origin dispatch tick.
-            self.obs.timeline.note_sends(tick, tl_sends, tl_bits);
-        }
-    }
-}
-
-/// One worker shard of a sharded async run: the serial engine's state,
-/// restricted to a contiguous node range (slices of the run-global arrays)
-/// plus staging buffers for sends that cross the window boundary. Local
-/// node index = global id − `lo`; local edge slot = global slot −
+/// The async engine's executor: one worker per shard, owning a contiguous
+/// node range (slices of the run-global arrays). At `k = 1` it runs inline
+/// and owns every node; at `k > 1` the [`crate::shard::exchange`] drives
+/// it. Local node index = global id − `lo`; local edge slot = global slot −
 /// `edge_base`.
 struct AsyncShard<'e, P: AsyncProtocol> {
     me: usize,
     lo: usize,
+    edge_base: usize,
     plan: crate::shard::ShardPlan,
     net: &'e Network,
     tables: &'e NodeTables,
     config: &'e AsyncConfig,
-    protocols: &'e mut [P],
-    outputs: &'e mut [Option<u64>],
-    awake: &'e mut [bool],
-    wake_tick: &'e mut [Option<u64>],
-    sent_by: &'e mut [u64],
-    received_by: &'e mut [u64],
+    nodes: NodeSlices<'e, P>,
+    /// Per directed-edge slot: latest delivery tick scheduled on the channel
+    /// (the FIFO horizon).
     channel_next: &'e mut [u64],
+    /// Per directed-edge slot: messages sent so far on the channel.
     channel_seq: &'e mut [u64],
-    edge_base: usize,
-    sm: crate::shard::ShardMetrics,
+    sm: ShardMetrics,
     obs: crate::obs::ShardObs,
+    rec: Recorders,
+    /// Packed (payload bits, delivery delay) run accumulator for the two
+    /// send histograms; flushed once at the end, so the common
+    /// all-sends-identical case costs one compare per message.
     send_run: crate::obs::PairRun,
     batch_run: crate::obs::ValueRun,
-    wheel: &'e mut TimerWheel,
-    arena: &'e mut PayloadArena<P::Msg>,
-    pending: &'e mut Vec<Vec<DeliverEntry>>,
-    touched: &'e mut Vec<u32>,
-    entries_buf: &'e mut Vec<(Port, PayloadRef)>,
-    batch_buf: &'e mut Vec<(Incoming, P::Msg)>,
-    stage: &'e mut [Vec<CrossMsg<P::Msg>>],
-    drain_buf: &'e mut Vec<CrossMsg<P::Msg>>,
+    sc: &'e mut ShardScratch<P::Msg>,
     /// This shard's schedule wakes, `(tick, id)`-sorted (run ids when
     /// relabeled — the shard ranges partition run-id space).
     wakes: Vec<(u64, NodeId)>,
     cursor: usize,
-    delays: Box<dyn DelayStrategy + Send>,
-    /// `Some` iff this run executes in the locality-ordered run space
-    /// (see [`RunState::rel`]).
+    /// This shard's fork of the delay strategy (`k > 1`; a lone inline
+    /// worker borrows the caller's strategy instead).
+    fork: Option<Box<dyn DelayStrategy + Send>>,
+    /// `Some` iff this run executes in the locality-ordered run space: node
+    /// indices are run ids, and entry `from` fields carry packed sort keys.
     rel: Option<&'e wakeup_graph::Relabeling>,
     /// Sender-index extraction mask (see [`DeliverEntry::from`]).
     from_mask: u32,
     /// Current within-tick phase: 0 = schedule wakes, 1 = deliveries.
     phase: u8,
-    /// Earliest delivery staged since the last publish.
+    /// Earliest delivery staged since the last progress summary.
     staged_min: u64,
-    /// Events processed since the last publish.
+    /// Events processed since the last progress summary.
     new_events: u64,
     /// The tick last processed (the wheel's cursor).
     prev_tick: u64,
 }
 
-impl<P: AsyncProtocol> AsyncShard<'_, P> {
-    /// The worker loop. Each window: meet the coordinator (its read of the
-    /// previous publications happens between the two waits), drain the
-    /// mailboxes filled last window, learn the decided tick, process it,
-    /// stage + publish. Publications and mailbox swaps are always separated
-    /// from their readers by a barrier, so every access is race-free.
-    fn run(
-        &mut self,
-        cells: &crate::shard::Cells<CrossMsg<P::Msg>>,
-        slots: &[std::sync::Mutex<AsyncPublished>],
-        decision: &std::sync::atomic::AtomicU64,
-        barrier: &std::sync::Barrier,
-    ) {
-        self.publish_slot(slots);
-        loop {
-            barrier.wait();
-            self.drain_cells(cells);
-            barrier.wait();
-            let now = decision.load(std::sync::atomic::Ordering::Relaxed);
-            if now == u64::MAX {
-                break;
-            }
-            self.process_tick(now);
-            self.prev_tick = now;
-            self.publish_cells(cells);
-            self.publish_slot(slots);
-        }
-        self.batch_run.flush(&mut self.obs.batch_sizes);
-        self.send_run
-            .flush(&mut self.obs.message_bits, &mut self.obs.delay_ticks);
-        self.obs.timeline.finish();
-        self.obs.arena_high_water = self.arena.high_water() as u64;
-        if self.rel.is_some() {
-            // Relabeled runs skip `stamp_new_spans` (run-order stamping
-            // would capture the wrong first actor); install the tracked
-            // canonical (tick, phase, orig actor) minima instead so the
-            // cross-shard span merge reproduces the identity label order.
-            self.obs.adopt_tracked_keys();
-        }
-    }
+impl<P: AsyncProtocol> crate::shard::Worker for AsyncShard<'_, P> {
+    type Cross = CrossMsg<P::Msg>;
+    type Progress = AsyncProgress;
 
-    fn publish_slot(&mut self, slots: &[std::sync::Mutex<AsyncPublished>]) {
+    fn progress(&mut self) -> AsyncProgress {
         let next_wake = self.wakes.get(self.cursor).map_or(u64::MAX, |&(t, _)| t);
         let wheel_next = self
+            .sc
             .wheel
             .next_occupied_after(self.prev_tick)
             .unwrap_or(u64::MAX);
@@ -1349,90 +637,84 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             self.obs.note_wheel_scan(wheel_next - self.prev_tick);
         }
         self.obs.events += self.new_events;
-        *slots[self.me].lock().unwrap() = AsyncPublished {
+        let p = AsyncProgress {
             next_event: self.staged_min.min(wheel_next).min(next_wake),
             new_events: self.new_events,
         };
         self.staged_min = u64::MAX;
         self.new_events = 0;
+        p
     }
 
-    fn publish_cells(&mut self, cells: &crate::shard::Cells<CrossMsg<P::Msg>>) {
-        for dst in 0..self.plan.k {
-            if dst == self.me {
-                continue;
-            }
-            for phase in 0..crate::shard::PHASES {
-                let buf = &mut self.stage[dst * crate::shard::PHASES + phase];
-                if !buf.is_empty() {
-                    cells.publish(self.me, dst, phase, buf);
-                }
-            }
-        }
+    fn stage(&mut self) -> &mut [Vec<CrossMsg<P::Msg>>] {
+        &mut self.sc.stage
     }
 
-    /// Moves last window's staged messages — own staging buffers for the
-    /// same-shard case, mailbox cells otherwise — into the wheel. Draining
-    /// phase-major then source-shard-major replays the canonical serial
-    /// send order (see the module docs).
-    fn drain_cells(&mut self, cells: &crate::shard::Cells<CrossMsg<P::Msg>>) {
-        for phase in 0..crate::shard::PHASES {
-            for src in 0..self.plan.k {
-                if src == self.me {
-                    let mut buf =
-                        std::mem::take(&mut self.stage[self.me * crate::shard::PHASES + phase]);
-                    self.ingest(&mut buf);
-                    self.stage[self.me * crate::shard::PHASES + phase] = buf;
-                } else {
-                    cells.drain(src, self.me, phase, self.drain_buf);
-                    let mut buf = std::mem::take(&mut *self.drain_buf);
-                    self.ingest(&mut buf);
-                    *self.drain_buf = buf;
-                }
-            }
-        }
-    }
-
-    fn ingest(&mut self, buf: &mut Vec<CrossMsg<P::Msg>>) {
-        for m in buf.drain(..) {
-            let msg = match m.payload {
-                crate::shard::CrossPayload::Local(r) => r,
-                crate::shard::CrossPayload::Remote(payload, bits) => {
-                    self.arena.insert_with_bits(payload, bits)
-                }
+    fn ingest(&mut self, batch: &mut Vec<CrossMsg<P::Msg>>) {
+        for m in batch.drain(..) {
+            let entry = DeliverEntry {
+                to: m.to,
+                from: m.from,
+                rport: m.rport,
+                msg: m.payload.into_ref(&mut self.sc.arena),
             };
-            self.wheel.push(
-                self.prev_tick,
-                m.deliver,
-                DeliverEntry {
-                    to: m.to,
-                    from: m.from,
-                    rport: m.rport,
-                    msg,
-                },
-            );
+            self.sc.wheel.push(self.prev_tick, m.deliver, entry);
         }
     }
 
-    /// The serial engine's per-tick body over this shard's nodes: schedule
-    /// wakes ascending, then one delivery batch per receiver ascending.
-    fn process_tick(&mut self, now: u64) {
+    fn window(&mut self, now: u64) {
+        let mut delays = self.fork.take().expect("k > 1 workers own a fork");
+        self.process_tick(now, &mut *delays);
+        self.fork = Some(delays);
+    }
+
+    fn finish(&mut self) {
+        self.batch_run.flush(&mut self.obs.batch_sizes);
+        self.send_run
+            .flush(&mut self.obs.message_bits, &mut self.obs.delay_ticks);
+        self.obs.timeline.finish();
+        self.obs.arena_high_water = self.sc.arena.high_water() as u64;
+        if self.rel.is_some() {
+            // Relabeled runs skip `stamp_new_spans` (run-order stamping
+            // would capture the wrong first actor); install the tracked
+            // canonical (tick, phase, orig actor) minima instead so the span
+            // merge reproduces the identity label order.
+            self.obs.adopt_tracked_keys();
+        }
+    }
+}
+
+impl<P: AsyncProtocol> AsyncShard<'_, P> {
+    fn into_out(self) -> WorkerOut {
+        WorkerOut {
+            sm: self.sm,
+            obs: self.obs,
+            rec: self.rec,
+        }
+    }
+
+    /// One tick over this shard's nodes in the canonical order: schedule
+    /// wakes ascending, then one delivery batch per receiver ascending,
+    /// each in channel send order.
+    fn process_tick(&mut self, now: u64, delays: &mut dyn DelayStrategy) {
+        let (sends0, bits0) = (self.obs.sends, self.sm.bits_sent);
         self.phase = 0;
         while self.cursor < self.wakes.len() && self.wakes[self.cursor].0 == now {
             let v = self.wakes[self.cursor].1;
             self.cursor += 1;
             self.new_events += 1;
-            if !self.awake[v.index() - self.lo] {
-                self.wake_node(v, WakeCause::Adversary, now);
+            if !self.nodes.awake[v.index() - self.lo] {
+                self.wake_node(v, WakeCause::Adversary, now, delays);
             }
         }
         self.phase = 1;
-        let bucket = self.wheel.take_bucket(now);
-        self.new_events += bucket.len() as u64;
-        self.obs.tl_delivered(now, bucket.len() as u64);
-        let mut touched = std::mem::take(&mut *self.touched);
+        let bucket = self.sc.wheel.take_bucket(now);
+        let delivered = bucket.len() as u64;
+        self.new_events += delivered;
+        let mut touched = std::mem::take(&mut self.sc.touched);
+        let mut pending = std::mem::take(&mut self.sc.pending);
         for &e in bucket.iter() {
-            let pend = &mut self.pending[e.to as usize - self.lo];
+            let pend = &mut pending[e.to as usize - self.lo];
             if pend.is_empty() {
                 touched.push(e.to);
             }
@@ -1441,86 +723,131 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
         touched.sort_unstable();
         let obs_full = self.obs.level == crate::obs::ObsLevel::Full;
         let relabeled = self.rel.is_some();
+        // Batch sizes accumulate in a local across the tick (one spill per
+        // size change) rather than one histogram read-modify-write per
+        // batch — see `ValueRun`.
+        let mut batch_run = self.batch_run;
         for (i, &to) in touched.iter().enumerate() {
             // Warm the next receiver's protocol state and pending row while
             // this batch's handler runs; run-space ids make `touched` nearly
             // contiguous, so the lines are usually still resident when used.
             if let Some(&nx) = touched.get(i + 1) {
-                crate::prefetch::prefetch_index(self.protocols, nx as usize - self.lo);
-                crate::prefetch::prefetch_index(self.pending, nx as usize - self.lo);
+                crate::prefetch::prefetch_index(self.nodes.protocols, nx as usize - self.lo);
+                crate::prefetch::prefetch_index(&pending, nx as usize - self.lo);
             }
-            let mut pend = std::mem::take(&mut self.pending[to as usize - self.lo]);
+            let mut pend = std::mem::take(&mut pending[to as usize - self.lo]);
             if relabeled && pend.len() > 1 {
                 // Stable sort by packed key restores the identity-space
                 // batch order (see `DeliverEntry::from`).
                 pend.sort_by_key(|e| e.from);
             }
             if obs_full {
-                self.batch_run
-                    .note(&mut self.obs.batch_sizes, pend.len() as u64);
+                batch_run.note(&mut self.obs.batch_sizes, pend.len() as u64);
             }
-            self.deliver_batch(&pend, now);
+            self.deliver_batch(&pend, now, delays);
             pend.clear();
-            self.pending[to as usize - self.lo] = pend;
+            pending[to as usize - self.lo] = pend;
         }
+        self.batch_run = batch_run;
         touched.clear();
-        *self.touched = touched;
-        self.wheel.restore_bucket(bucket);
+        self.sc.touched = touched;
+        self.sc.pending = pending;
+        self.sc.wheel.restore_bucket(bucket);
+        self.prev_tick = now;
+        let (sends, bits) = (self.obs.sends - sends0, self.sm.bits_sent - bits0);
+        self.obs.tl_traffic(now, delivered, sends, bits);
     }
 
-    fn wake_node(&mut self, v: NodeId, cause: WakeCause, tick: u64) {
+    fn wake_node(
+        &mut self,
+        v: NodeId,
+        cause: WakeCause,
+        tick: u64,
+        delays: &mut dyn DelayStrategy,
+    ) {
         let li = v.index() - self.lo;
-        self.awake[li] = true;
-        self.sm.awake_count += 1;
-        self.obs.tl_wakes(tick, 1);
-        self.wake_tick[li] = Some(tick);
-        self.sm.first_wake_tick = Some(self.sm.first_wake_tick.map_or(tick, |t| t.min(tick)));
+        // `v` is a run id when relabeled; everything the outside world can
+        // see (trace, audit, the protocol's Context) gets the original id.
         let ov = self
             .rel
             .map_or(v, |rel| NodeId::new(rel.to_orig(v.index())));
+        if self.rec.is_on() {
+            self.rec
+                .wake(tick, ov, cause, self.config.advice.as_deref());
+        }
+        self.nodes.awake[li] = true;
+        self.sm.awake_count += 1;
+        self.obs.tl_wakes(tick, 1);
+        self.nodes.wake_tick[li] = Some(tick);
+        self.sm.first_wake_tick = Some(self.sm.first_wake_tick.map_or(tick, |t| t.min(tick)));
         if self.rel.is_some() {
             self.obs
                 .phases
                 .set_handler(tick, self.phase, ov.index() as u32);
         }
-        let mut entries = std::mem::take(&mut *self.entries_buf);
+        let mut entries = std::mem::take(&mut self.sc.entries_buf);
         let mut ctx = Context::new(
             ov,
             self.net.graph().degree(ov),
             self.net.mode(),
             self.tables.id_to_port(v.index()),
             &mut entries,
-            self.arena,
+            &mut self.sc.arena,
             self.config.channel,
             self.config.record_congest_violations,
             &mut self.sm.congest_violations,
-            &mut self.outputs[li],
+            &mut self.nodes.outputs[li],
             &mut self.obs.phases,
             tick,
         );
-        self.protocols[li].on_wake(&mut ctx, cause);
+        self.nodes.protocols[li].on_wake(&mut ctx, cause);
         if self.rel.is_none() {
             self.obs.stamp_new_spans(tick, self.phase, v.index() as u32);
         }
-        self.dispatch_outbox(&mut entries, v, tick);
-        *self.entries_buf = entries;
+        self.dispatch_outbox(&mut entries, v, tick, delays);
+        self.sc.entries_buf = entries;
     }
 
-    fn deliver_batch(&mut self, entries: &[DeliverEntry], tick: u64) {
+    /// Delivers a maximal run of same-tick, same-receiver entries: metrics
+    /// and recorders per entry, wake-on-message once, one batch handler
+    /// call, one dispatch. Equivalent to delivering the entries one by one
+    /// — the handler's sends land in strictly later ticks either way, so
+    /// nothing this batch does can affect the rest of the current bucket.
+    fn deliver_batch(
+        &mut self,
+        entries: &[DeliverEntry],
+        tick: u64,
+        delays: &mut dyn DelayStrategy,
+    ) {
         let to = NodeId::new(entries[0].to as usize);
         let li = to.index() - self.lo;
-        self.received_by[li] += entries.len() as u64;
-        self.sm.last_receipt_tick = Some(self.sm.last_receipt_tick.map_or(tick, |t| t.max(tick)));
-        if !self.awake[li] {
-            self.obs
-                .note_wake_pred(li, entries[0].from & self.from_mask);
-            self.wake_node(to, WakeCause::Message, tick);
-        }
         let ot = self
             .rel
             .map_or(to, |rel| NodeId::new(rel.to_orig(to.index())));
+        self.nodes.received_by[li] += entries.len() as u64;
+        self.sm.last_receipt_tick = Some(self.sm.last_receipt_tick.map_or(tick, |t| t.max(tick)));
+        // Deliveries are recorded before the wake they may cause (below), so
+        // the wake-causality invariant can stream the log in order.
+        if self.rec.is_on() {
+            for e in entries {
+                self.rec.deliver(tick, e.from & self.from_mask, ot, e.msg);
+            }
+        }
+        if self.config.track_ports {
+            for e in entries {
+                let slot = self.tables.slot(to, Port::new(e.rport as usize));
+                self.sm.ports.set(slot - self.edge_base);
+            }
+        }
+        if !self.nodes.awake[li] {
+            // The batch's first entry is the delivery that wakes `to`: its
+            // sender becomes `to`'s predecessor in the causal wake forest.
+            self.obs
+                .note_wake_pred(li, entries[0].from & self.from_mask);
+            self.wake_node(to, WakeCause::Message, tick, delays);
+        }
         let kt1 = self.net.mode() == crate::knowledge::KnowledgeMode::Kt1;
-        let mut batch = std::mem::take(&mut *self.batch_buf);
+        let mut batch = std::mem::take(&mut self.sc.batch_buf);
         debug_assert!(batch.is_empty());
         for e in entries {
             let sender_id = kt1.then(|| {
@@ -1533,7 +860,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
                     port: Port::new(e.rport as usize),
                     sender_id,
                 },
-                self.arena.take(e.msg),
+                self.sc.arena.take(e.msg),
             ));
         }
         let mut inbox = Inbox::new(&mut batch);
@@ -1542,43 +869,58 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
                 .phases
                 .set_handler(tick, self.phase, ot.index() as u32);
         }
-        let mut out_entries = std::mem::take(&mut *self.entries_buf);
+        let mut out_entries = std::mem::take(&mut self.sc.entries_buf);
         let mut ctx = Context::new(
             ot,
             self.net.graph().degree(ot),
             self.net.mode(),
             self.tables.id_to_port(to.index()),
             &mut out_entries,
-            self.arena,
+            &mut self.sc.arena,
             self.config.channel,
             self.config.record_congest_violations,
             &mut self.sm.congest_violations,
-            &mut self.outputs[li],
+            &mut self.nodes.outputs[li],
             &mut self.obs.phases,
             tick,
         );
-        self.protocols[li].on_messages_batch(&mut ctx, &mut inbox);
+        self.nodes.protocols[li].on_messages_batch(&mut ctx, &mut inbox);
         drop(inbox);
         if self.rel.is_none() {
             self.obs
                 .stamp_new_spans(tick, self.phase, to.index() as u32);
         }
-        self.dispatch_outbox(&mut out_entries, to, tick);
-        *self.entries_buf = out_entries;
-        *self.batch_buf = batch;
+        self.dispatch_outbox(&mut out_entries, to, tick, delays);
+        self.sc.entries_buf = out_entries;
+        self.sc.batch_buf = batch;
     }
 
-    /// The serial `dispatch_outbox`, staging into per-`(shard, phase)`
-    /// buffers instead of pushing the wheel directly. Same-shard sends keep
-    /// their arena handle; cross-shard sends carry the payload itself.
-    fn dispatch_outbox(&mut self, entries: &mut Vec<(Port, PayloadRef)>, from: NodeId, tick: u64) {
+    /// Accounts, delays, and queues one handler's outbox. A lone worker
+    /// pushes straight into its wheel; at `k > 1` sends are staged per
+    /// `(destination shard, phase)` for the exchange — same-shard sends
+    /// keep their arena handle, cross-shard sends carry the payload itself.
+    fn dispatch_outbox(
+        &mut self,
+        entries: &mut Vec<(Port, PayloadRef)>,
+        from: NodeId,
+        tick: u64,
+        delays: &mut dyn DelayStrategy,
+    ) {
+        // Most handler invocations send nothing (e.g. an already-awake flood
+        // node ignoring a duplicate) — skip everything for an empty outbox.
         if entries.is_empty() {
             return;
         }
         let obs_full = self.obs.level == crate::obs::ObsLevel::Full;
-        // Register-resident send sums, one recorder update per outbox — the
-        // same hot-path discipline as the serial `dispatch_outbox`.
-        let (mut tl_sends, mut tl_bits) = (0u64, 0u64);
+        let (inline, recording, relabeled) =
+            (self.plan.k == 1, self.rec.is_on(), self.rel.is_some());
+        // Counts, bit sums, and the send-histogram run stay in registers
+        // across the outbox (every entry shares the sender and the dispatch
+        // `tick`); one update per outbox keeps struct-field
+        // read-modify-writes off the loop-carried path.
+        let sent = entries.len() as u64;
+        let (mut sum_bits, mut max_bits) = (0u64, 0usize);
+        let mut send_run = self.send_run;
         let of = self
             .rel
             .map_or(from, |rel| NodeId::new(rel.to_orig(from.index())));
@@ -1586,60 +928,78 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             let slot = self.tables.slot(from, port);
             let hot = self.tables.edge_hot[slot];
             let to = hot.to as usize;
-            // Delay strategies are oblivious-adversary components: they see
-            // original ids regardless of the execution space.
+            // The delay strategy is part of the oblivious adversary: it
+            // must see original ids regardless of the execution space.
             let ot = self
                 .rel
                 .map_or(NodeId::new(to), |rel| NodeId::new(rel.to_orig(to)));
-            let bits = self.arena.bits(r);
-            self.sm.messages_sent += 1;
-            self.sm.bits_sent += bits as u64;
-            self.sm.max_message_bits = self.sm.max_message_bits.max(bits);
-            self.sent_by[from.index() - self.lo] += 1;
+            let bits = self.sc.arena.bits(r);
+            if recording {
+                self.rec.send(tick, of, ot, bits, r);
+            }
+            sum_bits += bits as u64;
+            max_bits = max_bits.max(bits);
             let ls = slot - self.edge_base;
+            if self.config.track_ports {
+                self.sm.ports.set(ls);
+            }
             let seq = self.channel_seq[ls];
-            let delay = self
-                .delays
+            let delay = delays
                 .delay_ticks(of, ot, tick, seq)
                 .clamp(1, TICKS_PER_UNIT);
             self.channel_seq[ls] = seq + 1;
+            // FIFO per channel: never deliver before an earlier message on
+            // the same channel; equal ticks keep send order because bucket
+            // insertion order is send order.
             let deliver = (tick + delay).max(self.channel_next[ls]);
             self.channel_next[ls] = deliver;
+            // One packed compare per message covers both send histograms;
+            // per-message `record` calls would put six memory
+            // read-modify-writes on the loop-carried path and blow the
+            // obs_overhead budget.
             if obs_full {
-                self.send_run.note(
+                send_run.note(
                     &mut self.obs.message_bits,
                     &mut self.obs.delay_ticks,
                     bits as u64,
                     deliver - tick,
                 );
-                tl_sends += 1;
-                tl_bits += bits as u64;
             }
-            self.obs.sends += 1;
-            let dst = self.plan.shard_of(to);
-            let payload = if dst == self.me {
-                crate::shard::CrossPayload::Local(r)
+            // The receiver-side port is the paper's port_to(to, from),
+            // precomputed per directed edge.
+            let key = if relabeled {
+                crate::network::pack_entry_key(deliver - tick, self.phase, of.index() as u32)
             } else {
-                crate::shard::CrossPayload::Remote(self.arena.take(r), bits)
+                from.index() as u32
             };
+            if inline {
+                // The enqueue-time payload handle rides the wheel untouched.
+                let entry = DeliverEntry {
+                    to: hot.to,
+                    from: key,
+                    rport: hot.rport,
+                    msg: r,
+                };
+                self.sc.wheel.push(tick, deliver, entry);
+                continue;
+            }
+            let dst = self.plan.shard_of(to);
+            let payload = CrossPayload::stage(r, dst == self.me, &mut self.sc.arena);
             self.staged_min = self.staged_min.min(deliver);
-            self.stage[dst * crate::shard::PHASES + self.phase as usize].push(CrossMsg {
+            self.sc.stage[dst * crate::shard::PHASES + self.phase as usize].push(CrossMsg {
                 deliver,
                 to: hot.to,
-                from: if self.rel.is_some() {
-                    crate::network::pack_entry_key(deliver - tick, self.phase, of.index() as u32)
-                } else {
-                    from.index() as u32
-                },
+                from: key,
                 rport: hot.rport,
                 payload,
             });
         }
-        if obs_full {
-            // Timeline sends are attributed at the origin dispatch tick,
-            // never at the receiving shard's ingest.
-            self.obs.timeline.note_sends(tick, tl_sends, tl_bits);
-        }
+        self.send_run = send_run;
+        self.sm.messages_sent += sent;
+        self.sm.bits_sent += sum_bits;
+        self.sm.max_message_bits = self.sm.max_message_bits.max(max_bits);
+        self.nodes.sent_by[from.index() - self.lo] += sent;
+        self.obs.sends += sent;
     }
 }
 
@@ -2014,9 +1374,9 @@ mod tests {
         }
     }
 
-    /// Byte-identity of a sharded run against serial, across shard counts
-    /// that divide the nodes evenly, raggedly, and with empty trailing
-    /// shards.
+    /// Byte-identity of the exchange: `k > 1` runs against the one-shard
+    /// run, across shard counts that divide the nodes evenly, raggedly, and
+    /// with empty trailing shards.
     #[test]
     fn sharded_run_is_byte_identical_to_serial() {
         let net = Network::kt0(generators::erdos_renyi_connected(37, 0.15, 11).unwrap(), 11);
@@ -2033,6 +1393,7 @@ mod tests {
         let serial = run(1);
         for shards in [2, 3, 4, 64] {
             let sharded = run(shards);
+            assert_eq!(sharded.obs.runtime.shards as usize, shards.min(37));
             assert_eq!(serial.metrics, sharded.metrics, "shards={shards}");
             assert_eq!(serial.all_awake, sharded.all_awake);
             assert_eq!(serial.outputs, sharded.outputs);
@@ -2044,10 +1405,10 @@ mod tests {
         }
     }
 
-    /// An unforkable (history-dependent) delay strategy silently falls back
-    /// to the serial path — and the output is identical either way.
+    /// An unforkable (history-dependent) delay strategy runs on one shard
+    /// whatever the request, records why, and gives the same output.
     #[test]
-    fn random_delays_fall_back_to_serial_under_sharding() {
+    fn random_delays_run_on_one_shard_under_sharding() {
         let net = Network::kt0(generators::erdos_renyi_connected(20, 0.2, 3).unwrap(), 3);
         let schedule = WakeSchedule::single(NodeId::new(0));
         let run = |shards: usize| {
@@ -2058,8 +1419,96 @@ mod tests {
             let mut delays = RandomDelay::new(99);
             AsyncEngine::<Flood>::new(&net, config).run_with(&schedule, &mut delays)
         };
-        let (serial, sharded) = (run(1), run(4));
-        assert_eq!(serial.metrics, sharded.metrics);
+        let (one, four) = (run(1), run(4));
+        assert_eq!(one.metrics, four.metrics);
+        let a = crate::obs::ObsSnapshot::of(&one);
+        let b = crate::obs::ObsSnapshot::of(&four);
+        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(
+            (one.obs.runtime.shards, one.obs.runtime.shard_fallback),
+            (1, None)
+        );
+        let rt = &four.obs.runtime;
+        assert_eq!(rt.shards, 1);
+        assert_eq!(rt.shards_requested, 4);
+        assert_eq!(rt.shard_fallback, Some(ShardFallback::UnforkableDelays));
+    }
+
+    /// Trace recording keeps a run on one shard and records the reason.
+    #[test]
+    fn trace_recording_runs_on_one_shard() {
+        let net = Network::kt0(generators::erdos_renyi_connected(20, 0.2, 3).unwrap(), 3);
+        let run = |shards: usize| {
+            let config = AsyncConfig {
+                shards,
+                trace_capacity: Some(1 << 12),
+                ..AsyncConfig::default()
+            };
+            AsyncEngine::<Flood>::new(&net, config).run(&WakeSchedule::single(NodeId::new(0)))
+        };
+        let (one, four) = (run(1), run(4));
+        let rt = &four.obs.runtime;
+        assert_eq!((rt.shards, rt.shards_requested), (1, 4));
+        assert_eq!(rt.shard_fallback, Some(ShardFallback::Trace));
+        let (a, b) = (one.trace.unwrap(), four.trace.unwrap());
+        assert!(!a.events().is_empty());
+        assert_eq!(a.events(), b.events());
+    }
+
+    /// An audit-recording run asked for 4 shards produces the exact audit
+    /// log bytes of a one-shard run.
+    #[cfg(feature = "audit")]
+    #[test]
+    fn audit_log_is_identical_at_one_and_four_shards() {
+        let net = Network::kt0(generators::erdos_renyi_connected(30, 0.15, 5).unwrap(), 5);
+        let all: Vec<NodeId> = (0..30).step_by(7).map(NodeId::new).collect();
+        let schedule = WakeSchedule::staggered(&all, 0.5);
+        let run = |shards: usize| {
+            let config = AsyncConfig {
+                shards,
+                audit_capacity: Some(1 << 14),
+                ..AsyncConfig::default()
+            };
+            let mut delays = AdversarialDelay::new(3);
+            AsyncEngine::<Flood>::new(&net, config).run_with(&schedule, &mut delays)
+        };
+        let (one, four) = (run(1), run(4));
+        assert_eq!(four.obs.runtime.shard_fallback, Some(ShardFallback::Audit));
+        let (a, b) = (one.audit_log.unwrap(), four.audit_log.unwrap());
+        assert!(!a.events().is_empty());
+        assert_eq!(a.to_jsonl(), b.to_jsonl());
+    }
+
+    /// Port tracking is shard-local: shards 1 and 3 count the same ports,
+    /// and tracking no longer forces one shard.
+    #[test]
+    fn port_tracking_is_shard_invariant() {
+        let net = Network::kt0(generators::erdos_renyi_connected(37, 0.15, 11).unwrap(), 11);
+        let run = |shards: usize| {
+            let config = AsyncConfig {
+                shards,
+                track_ports: true,
+                ..AsyncConfig::default()
+            };
+            let mut delays = AdversarialDelay::new(7);
+            AsyncEngine::<Flood>::new(&net, config)
+                .run_with(&WakeSchedule::single(NodeId::new(5)), &mut delays)
+        };
+        let (one, three) = (run(1), run(3));
+        assert_eq!(three.obs.runtime.shards, 3);
+        assert!(one.metrics.ports_used.is_some());
+        assert_eq!(one.metrics.ports_used, three.metrics.ports_used);
+        assert_eq!(one.metrics, three.metrics);
+        // No edges, no slots to mark: tracking still reports zero ports.
+        let net = Network::kt0(wakeup_graph::Graph::empty(4), 1);
+        let config = AsyncConfig {
+            shards: 2,
+            track_ports: true,
+            ..AsyncConfig::default()
+        };
+        let report =
+            AsyncEngine::<Flood>::new(&net, config).run(&WakeSchedule::single(NodeId::new(0)));
+        assert_eq!(report.metrics.ports_used, Some(vec![0; 4]));
     }
 
     /// The event cap truncates at the same boundary at any shard count.
@@ -2112,7 +1561,7 @@ mod tests {
     /// The tentpole contract: a relabeled run (the default for eligible
     /// networks) is byte-identical to an identity-space run of the same
     /// workload — metrics, outputs, and both observability serializations —
-    /// serial and sharded. The delay adversary is oblivious (keyed on
+    /// at one shard and at three. The delay adversary is oblivious (keyed on
     /// original ids), so its choices cannot depend on the internal order.
     #[test]
     fn relabeled_run_is_byte_identical_to_identity_run() {

@@ -82,7 +82,7 @@ pub mod persist;
 mod prefetch;
 mod proptests;
 mod protocol;
-mod shard;
+pub mod shard;
 mod sync_engine;
 pub mod trace;
 pub mod viz;

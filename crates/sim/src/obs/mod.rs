@@ -166,7 +166,7 @@ impl Hist64 {
     /// recorded the other histogram's inputs here (bucket-wise addition, a
     /// wrapping sum, a max). Because a `Hist64` is a pure function of the
     /// *multiset* of recorded values, merging per-shard histograms in any
-    /// order reproduces the serial histogram byte for byte.
+    /// order reproduces the one-shard histogram byte for byte.
     pub(crate) fn merge(&mut self, other: &Hist64) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
@@ -463,12 +463,11 @@ pub struct CriticalPath {
 /// as tolerance-class fields.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuntimeCounters {
-    /// Executor shards the run actually used (1 = serial path).
+    /// Executor shards the run actually used (1 = the worker ran inline).
     pub shards: u32,
-    /// Events processed per shard, ascending shard index (empty on the
-    /// serial path — `Obs::events` already carries the total).
+    /// Events processed per shard, ascending shard index.
     pub shard_events: Vec<u64>,
-    /// Messages dispatched per shard, ascending shard index (empty serial).
+    /// Messages dispatched per shard, ascending shard index.
     pub shard_sends: Vec<u64>,
     /// Largest timer-wheel forward scan (ticks skipped in one
     /// `next_occupied_after` advance), max across shards.
@@ -477,11 +476,17 @@ pub struct RuntimeCounters {
     pub arena_high_water: u64,
     /// Delivery batches handed to prefetched handler runs.
     pub prefetch_batches: u64,
-    /// Coordinator barrier rounds in which no shard processed any event
-    /// (pure horizon-advance stalls; 0 on the serial path).
+    /// Windows in which no shard processed any event (pure
+    /// horizon-advance stalls; sync runs count rounds entered without
+    /// traffic).
     pub stall_rounds: u64,
     /// Whether a bake-time locality relabeling was active for this run.
     pub relabel_applied: bool,
+    /// Shards the run's config requested.
+    pub shards_requested: u32,
+    /// Why the run used fewer shards than requested (`None` when it used
+    /// as many as requested).
+    pub shard_fallback: Option<crate::shard::ShardFallback>,
 }
 
 /// Per-run observability data carried by every [`crate::RunReport`].
@@ -534,61 +539,6 @@ impl Obs {
     /// The recording level this accumulator was created with.
     pub fn level(&self) -> ObsLevel {
         self.level
-    }
-
-    /// One delivery batch of `len` messages handed to a node.
-    #[inline(always)]
-    pub(crate) fn on_batch(&mut self, len: usize) {
-        if self.level == ObsLevel::Full {
-            self.batch_sizes.record(len as u64);
-        }
-    }
-
-    /// Per-message send accounting (payload bits, scheduled delay in ticks)
-    /// plus timeline attribution at the origin's dispatch `tick` — one
-    /// combined level check for call sites that don't keep an `obs_full`
-    /// local.
-    #[inline(always)]
-    pub(crate) fn on_send_at(&mut self, tick: u64, bits: u64, delay_ticks: u64) {
-        if self.level == ObsLevel::Full {
-            self.message_bits.record(bits);
-            self.delay_ticks.record(delay_ticks);
-            self.timeline.note_send(tick, bits);
-        }
-    }
-
-    /// Timeline: `count` messages delivered at `tick` (level-gated).
-    #[inline(always)]
-    pub(crate) fn tl_delivered(&mut self, tick: u64, count: u64) {
-        if self.level == ObsLevel::Full {
-            self.timeline.note_delivered(tick, count);
-        }
-    }
-
-    /// Timeline: `count` nodes woke at `tick` (level-gated).
-    #[inline(always)]
-    pub(crate) fn tl_wakes(&mut self, tick: u64, count: u64) {
-        if self.level == ObsLevel::Full {
-            self.timeline.note_wakes(tick, count);
-        }
-    }
-
-    /// Notes the delivery that may wake `node` (first writer wins; ignored
-    /// once a predecessor is set or at [`ObsLevel::Counters`]). The waking
-    /// tick is not taken — it is the node's [`Metrics::wake_tick`].
-    #[inline]
-    pub(crate) fn note_wake_pred(&mut self, node: usize, pred: u32) {
-        if self.level == ObsLevel::Full && self.wake_pred[node] == NO_PRED {
-            self.wake_pred[node] = pred;
-        }
-    }
-
-    /// Clears a provisional predecessor — the sync engine notes candidates
-    /// while draining traffic, then erases them for nodes the adversary woke
-    /// in the same round (adversary wakes take precedence).
-    #[inline]
-    pub(crate) fn clear_wake_pred(&mut self, node: usize) {
-        self.wake_pred[node] = NO_PRED;
     }
 
     /// Takes the raw predecessor array out (relabeled runs index it by *run*
@@ -693,15 +643,15 @@ impl Obs {
 /// Canonical position of a phase label's first enter inside a sharded run:
 /// `(tick, engine phase, actor, shard-local span index)`. Shard-local
 /// processing order is exactly `(tick, phase, actor)`-ascending over owned
-/// actors, so sorting merged labels by this key reconstructs the serial
+/// actors, so sorting merged labels by this key reconstructs the one-shard
 /// engine's first-entered order (the trailing index breaks ties between
 /// several labels first entered by the *same* handler invocation).
 pub(crate) type SpanKey = (u64, u8, u32, u32);
 
-/// Per-shard observability accumulator for the engines' intra-run sharded
-/// paths: the three recorded histograms, phase spans with their canonical
-/// [`SpanKey`]s, and the shard-owned slice of the wake-predecessor array.
-/// Merged into one [`Obs`] by [`merge_shard_obs`].
+/// The engines' observability recorder, one per shard worker: the three
+/// recorded histograms, phase spans with their canonical [`SpanKey`]s, the
+/// windowed timeline, and the shard-owned slice of the wake-predecessor
+/// array. Merged into the run's [`Obs`] by [`merge_shard_obs`].
 pub(crate) struct ShardObs {
     pub(crate) level: ObsLevel,
     pub(crate) delay_ticks: Hist64,
@@ -742,7 +692,10 @@ impl ShardObs {
         }
     }
 
-    /// As [`Obs::note_wake_pred`], indexed by the shard-local node offset.
+    /// Notes the delivery that may wake shard-local node `local` (first
+    /// writer wins; ignored once a predecessor is set or at
+    /// [`ObsLevel::Counters`]). The waking tick is not taken — it is the
+    /// node's [`Metrics::wake_tick`].
     #[inline]
     pub(crate) fn note_wake_pred(&mut self, local: usize, pred: u32) {
         if self.level == ObsLevel::Full && self.wake_pred[local] == NO_PRED {
@@ -750,7 +703,9 @@ impl ShardObs {
         }
     }
 
-    /// As [`Obs::clear_wake_pred`], indexed by the shard-local node offset.
+    /// Clears a provisional predecessor — the sync engine notes candidates
+    /// while draining traffic, then erases them for nodes the adversary
+    /// woke in the same round (adversary wakes take precedence).
     #[inline]
     pub(crate) fn clear_wake_pred(&mut self, local: usize) {
         self.wake_pred[local] = NO_PRED;
@@ -764,32 +719,25 @@ impl ShardObs {
         }
     }
 
-    /// Per-message send accounting (payload bits, scheduled delay in ticks)
-    /// with timeline attribution at the origin's dispatch `tick`. Counted
-    /// only at the dispatching shard — cross-shard ingest must not call this.
-    #[inline]
-    pub(crate) fn on_send_at(&mut self, tick: u64, bits: u64, delay_ticks: u64) {
-        self.sends += 1;
-        if self.level == ObsLevel::Full {
-            self.message_bits.record(bits);
-            self.delay_ticks.record(delay_ticks);
-            self.timeline.note_send(tick, bits);
-        }
-    }
-
-    /// Timeline: `count` messages delivered at `tick` (level-gated).
-    #[inline(always)]
-    pub(crate) fn tl_delivered(&mut self, tick: u64, count: u64) {
-        if self.level == ObsLevel::Full {
-            self.timeline.note_delivered(tick, count);
-        }
-    }
-
     /// Timeline: `count` nodes woke at `tick` (level-gated).
     #[inline(always)]
     pub(crate) fn tl_wakes(&mut self, tick: u64, count: u64) {
         if self.level == ObsLevel::Full {
             self.timeline.note_wakes(tick, count);
+        }
+    }
+
+    /// Timeline: one tick's (async) or round's (sync) deliveries and sends
+    /// with their payload bits (level-gated). All of a window's traffic
+    /// happens at its own `tick` — sends at their origin's dispatch tick —
+    /// so the engines note the totals once per window, not per message.
+    #[inline]
+    pub(crate) fn tl_traffic(&mut self, tick: u64, delivered: u64, sends: u64, bits: u64) {
+        if self.level == ObsLevel::Full {
+            self.timeline.note_delivered(tick, delivered);
+            if sends > 0 {
+                self.timeline.note_sends(tick, sends, bits);
+            }
         }
     }
 
@@ -822,18 +770,23 @@ impl ShardObs {
 }
 
 /// Merges per-shard observers (ascending shard order, covering node ranges
-/// `[0, n)` contiguously) into the [`Obs`] the equivalent serial run would
-/// have produced — byte-identical snapshots included. Histograms merge
-/// bucket-wise; wake predecessors concatenate; phase spans merge per label
-/// and are re-ordered by their canonical minimal [`SpanKey`], recovering the
-/// serial first-entered order.
-pub(crate) fn merge_shard_obs(n: usize, level: ObsLevel, shards: &[ShardObs]) -> Obs {
+/// `[0, n)` contiguously) into one [`Obs`] — the same bytes at any shard
+/// count. Histograms merge bucket-wise; wake predecessors concatenate;
+/// phase spans merge per label and are re-ordered by their canonical
+/// minimal [`SpanKey`], recovering the `k = 1` first-entered order.
+pub(crate) fn merge_shard_obs(n: usize, level: ObsLevel, mut shards: Vec<ShardObs>) -> Obs {
     let windows = shards.first().map(|s| s.timeline.cfg()).unwrap_or_default();
-    let mut obs = Obs::with_windows(n, level, windows);
+    let mut obs = Obs::with_windows(0, level, windows);
     obs.runtime.shards = shards.len() as u32;
+    // The first shard's predecessor slice becomes the run's array, so a
+    // one-shard run moves it instead of copying.
+    obs.wake_pred = shards
+        .first_mut()
+        .map(|s| std::mem::take(&mut s.wake_pred))
+        .unwrap_or_default();
+    obs.wake_pred.reserve(n - obs.wake_pred.len());
     let mut merged: Vec<(SpanKey, PhaseSpan)> = Vec::new();
-    let mut off = 0usize;
-    for sh in shards {
+    for sh in &shards {
         obs.delay_ticks.merge(&sh.delay_ticks);
         obs.batch_sizes.merge(&sh.batch_sizes);
         obs.message_bits.merge(&sh.message_bits);
@@ -842,8 +795,7 @@ pub(crate) fn merge_shard_obs(n: usize, level: ObsLevel, shards: &[ShardObs]) ->
         obs.runtime.shard_sends.push(sh.sends);
         obs.runtime.wheel_max_scan = obs.runtime.wheel_max_scan.max(sh.wheel_max_scan);
         obs.runtime.arena_high_water += sh.arena_high_water;
-        obs.wake_pred[off..off + sh.wake_pred.len()].copy_from_slice(&sh.wake_pred);
-        off += sh.wake_pred.len();
+        obs.wake_pred.extend_from_slice(&sh.wake_pred);
         for (i, s) in sh.phases.spans().iter().enumerate() {
             let key = sh.span_keys[i];
             match merged
@@ -862,7 +814,11 @@ pub(crate) fn merge_shard_obs(n: usize, level: ObsLevel, shards: &[ShardObs]) ->
             }
         }
     }
-    debug_assert_eq!(off, n, "shard observers must cover all nodes");
+    debug_assert_eq!(
+        obs.wake_pred.len(),
+        n,
+        "shard observers must cover all nodes"
+    );
     merged.sort_by_key(|&(k, _)| k);
     obs.phases = PhaseSpans {
         spans: merged.into_iter().map(|(_, s)| s).collect(),
@@ -971,9 +927,11 @@ mod tests {
             Some(5 * TICKS_PER_UNIT),
         ];
         m.first_wake_tick = Some(0);
-        let mut obs = Obs::new(4, ObsLevel::Full);
-        obs.note_wake_pred(1, 0);
-        obs.note_wake_pred(2, 1);
+        let mut sh = ShardObs::new(4, ObsLevel::Full, WindowCfg::default());
+        sh.note_wake_pred(1, 0);
+        sh.note_wake_pred(2, 1);
+        sh.stamp_new_spans(0, 0, 0);
+        let obs = merge_shard_obs(4, ObsLevel::Full, vec![sh]);
         let cp = obs.critical_path(&m);
         assert_eq!(cp.hops, 2);
         assert_eq!(cp.tau, 2.0);
@@ -987,10 +945,13 @@ mod tests {
 
     #[test]
     fn counters_level_skips_recording() {
-        let mut obs = Obs::new(2, ObsLevel::Counters);
-        obs.on_send_at(0, 32, 1024);
-        obs.on_batch(3);
-        obs.note_wake_pred(1, 0);
+        let mut sh = ShardObs::new(2, ObsLevel::Counters, WindowCfg::default());
+        sh.tl_wakes(0, 1);
+        sh.tl_traffic(0, 1, 1, 32);
+        sh.on_batch(3);
+        sh.note_wake_pred(1, 0);
+        let obs = merge_shard_obs(2, ObsLevel::Counters, vec![sh]);
+        assert!(obs.timeline.is_empty());
         assert!(obs.delay_ticks.is_empty());
         assert!(obs.batch_sizes.is_empty());
         assert!(obs.message_bits.is_empty());
@@ -999,11 +960,15 @@ mod tests {
 
     #[test]
     fn first_wake_pred_wins() {
-        let mut obs = Obs::new(3, ObsLevel::Full);
-        obs.note_wake_pred(1, 0);
-        obs.note_wake_pred(1, 2);
+        let mut sh = ShardObs::new(3, ObsLevel::Full, WindowCfg::default());
+        sh.note_wake_pred(1, 0);
+        sh.note_wake_pred(1, 2);
+        let obs = merge_shard_obs(3, ObsLevel::Full, vec![sh]);
         assert_eq!(obs.wake_pred(NodeId::new(1)), Some(NodeId::new(0)));
-        obs.clear_wake_pred(1);
+        let mut sh = ShardObs::new(3, ObsLevel::Full, WindowCfg::default());
+        sh.note_wake_pred(1, 0);
+        sh.clear_wake_pred(1);
+        let obs = merge_shard_obs(3, ObsLevel::Full, vec![sh]);
         assert_eq!(obs.wake_pred(NodeId::new(1)), None);
     }
 

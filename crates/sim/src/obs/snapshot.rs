@@ -335,7 +335,7 @@ impl ObsSnapshot {
     /// As [`ObsSnapshot::to_json`], plus a trailing `"runtime"` block with
     /// the machine/config-dependent internals ([`RuntimeCounters`]). These
     /// bytes are **not** covered by the determinism contract — a 4-shard run
-    /// legitimately reports different shard tables than a serial one — so
+    /// legitimately reports different shard tables than a one-shard one — so
     /// `wakeup obs diff` treats `runtime.*` as tolerance-class fields.
     pub fn to_json_diag(&self) -> String {
         let mut s = self.to_json();
@@ -344,7 +344,8 @@ impl ObsSnapshot {
         s.push_str(&format!(
             ",\"runtime\":{{\"shards\":{},\"shard_events\":{},\"shard_sends\":{},\
              \"wheel_max_scan\":{},\"arena_high_water\":{},\"prefetch_batches\":{},\
-             \"stall_rounds\":{},\"relabel_applied\":{}}}}}",
+             \"stall_rounds\":{},\"relabel_applied\":{},\"shards_requested\":{},\
+             \"shard_fallback\":{}}}}}",
             r.shards,
             u64_array(&r.shard_events),
             u64_array(&r.shard_sends),
@@ -352,7 +353,10 @@ impl ObsSnapshot {
             r.arena_high_water,
             r.prefetch_batches,
             r.stall_rounds,
-            r.relabel_applied
+            r.relabel_applied,
+            r.shards_requested,
+            r.shard_fallback
+                .map_or("null".to_string(), |f| format!("\"{}\"", f.as_str())),
         ));
         s
     }
@@ -578,8 +582,8 @@ mod tests {
         // windowed assertions below stay exact.
         obs.message_bits.record(32);
         obs.delay_ticks.record(TICKS_PER_UNIT);
-        obs.on_batch(1);
-        obs.note_wake_pred(1, 0);
+        obs.batch_sizes.record(1);
+        obs.wake_pred[1] = 0;
         obs.events = 5;
         RunReport {
             all_awake: true,
@@ -616,7 +620,7 @@ mod tests {
     fn timeline_block_carries_windowed_series() {
         let mut r = tiny_report();
         // Send at tick 0 (window 0), wake + delivery at tick 5 (window 2).
-        r.obs.timeline.note_send(0, 32);
+        r.obs.timeline.note_sends(0, 1, 32);
         r.obs.timeline.note_wakes(5, 1);
         r.obs.timeline.note_delivered(5, 1);
         let snap = ObsSnapshot::of(&r);
@@ -659,6 +663,11 @@ mod tests {
             "\"runtime\":{\"shards\":4,\"shard_events\":[2,1,1,1],\"shard_sends\":[],\
              \"wheel_max_scan\":7,"
         ));
+        assert!(diag.ends_with("\"shards_requested\":0,\"shard_fallback\":null}}"));
+        r.obs.runtime.shards_requested = 8;
+        r.obs.runtime.shard_fallback = Some(crate::shard::ShardFallback::Audit);
+        let diag = ObsSnapshot::of(&r).to_json_diag();
+        assert!(diag.ends_with("\"shards_requested\":8,\"shard_fallback\":\"audit\"}}"));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! deliveries, and node wakes — into tick windows chosen by a pure
 //! [`WindowCfg::window_of`] function of the *logical* tick. Because window
 //! assignment depends only on ticks (never on wall clock, thread, or shard),
-//! per-shard timelines merge by elementwise addition into exactly the serial
-//! run's timeline, and the schema-4 snapshot bytes survive the CI
+//! per-shard timelines merge by elementwise addition into exactly the
+//! one-shard run's timeline, and the schema-4 snapshot bytes survive the CI
 //! 1-vs-4-shard and 1-vs-4-thread diffs like every other obs field.
 //!
 //! # Hot-path discipline
@@ -106,8 +106,8 @@ impl WindowDelta {
     }
 }
 
-/// The windowed recorder (see the module docs). One per serial run, one per
-/// shard in sharded runs; merged by [`Timeline::merge`].
+/// The windowed recorder (see the module docs). One per shard worker;
+/// merged by [`Timeline::merge`].
 #[derive(Debug, Clone)]
 pub struct Timeline {
     cfg: WindowCfg,
@@ -171,16 +171,10 @@ impl Timeline {
         super::note_global_window(w);
     }
 
-    /// One message dispatched at `tick` carrying `bits` payload bits. Sends
-    /// are attributed at the **origin's** dispatch tick only — sharded
-    /// ingest of a cross-shard message must not call this.
-    #[inline(always)]
-    pub(crate) fn note_send(&mut self, tick: u64, bits: u64) {
-        self.note_sends(tick, 1, bits);
-    }
-
     /// `count` messages totalling `bits` payload bits, all dispatched at
-    /// `tick`. The engines' outbox loops accumulate both sums in registers
+    /// `tick`. Sends are attributed at the **origin's** dispatch tick only —
+    /// ingest of a cross-shard message must not call this. The engines'
+    /// outbox loops accumulate both sums in registers
     /// and call this once per outbox — two struct-field read-modify-writes
     /// per *message* on the loop-carried path is what blew the
     /// `obs_overhead` budget.
@@ -219,7 +213,7 @@ impl Timeline {
     }
 
     /// Folds another *finished* timeline into this one — elementwise window
-    /// addition, which reproduces the serial recorder byte for byte because
+    /// addition, which reproduces a one-shard recorder byte for byte because
     /// window attribution is a pure function of the tick.
     pub(crate) fn merge(&mut self, other: &Timeline) {
         debug_assert_eq!(
@@ -295,9 +289,9 @@ mod tests {
     fn recorder_spills_on_window_change_and_finish() {
         let mut t = Timeline::new(WindowCfg::Log2);
         t.note_wakes(0, 1); // window 0
-        t.note_send(0, 32);
+        t.note_sends(0, 1, 32);
         t.note_delivered(2, 1); // window 1
-        t.note_send(2, 64);
+        t.note_sends(2, 1, 64);
         t.note_delivered(5, 2); // window 2
         t.finish();
         let rows = t.rows();
@@ -342,10 +336,10 @@ mod tests {
         let mut b = Timeline::new(WindowCfg::Log2);
         let events: &[(u64, u64)] = &[(0, 16), (1, 16), (3, 32), (3, 32), (9, 8)];
         for (i, &(tick, bits)) in events.iter().enumerate() {
-            serial.note_send(tick, bits);
+            serial.note_sends(tick, 1, bits);
             serial.note_delivered(tick, 1);
             let shard = if i % 2 == 0 { &mut a } else { &mut b };
-            shard.note_send(tick, bits);
+            shard.note_sends(tick, 1, bits);
             shard.note_delivered(tick, 1);
         }
         serial.finish();

@@ -6,13 +6,17 @@ use wakeup_graph::NodeId;
 
 use crate::adversary::WakeSchedule;
 use crate::arena::{PayloadArena, PayloadRef};
-use crate::bits::{BitStr, DenseBits};
+use crate::bits::BitStr;
 use crate::knowledge::Port;
 use crate::message::ChannelModel;
-use crate::metrics::{Metrics, RunReport, TICKS_PER_UNIT};
+use crate::metrics::{RunReport, TICKS_PER_UNIT};
 use crate::network::{Network, NodeTables};
 use crate::protocol::{Context, Inbox, Incoming, SyncProtocol, WakeCause};
-use crate::trace::{Trace, TraceEvent};
+use crate::shard::{
+    split_lengths, CrossPayload, DeliverEntry, NodeSlices, Recorders, RunArrays, RunPlan, RunTally,
+    ShardMetrics, Worker, WorkerOut,
+};
+use crate::trace::Trace;
 
 /// Configuration of a [`SyncEngine`] run.
 #[derive(Debug, Clone)]
@@ -46,12 +50,12 @@ pub struct SyncConfig {
     /// generations, and advice reads.
     #[cfg(feature = "audit")]
     pub audit_capacity: Option<usize>,
-    /// Number of intra-run worker shards (default 1 = serial). With `K > 1`
-    /// the per-round deliver/step loop is parallelized over `K` contiguous
-    /// node ranges under the round barrier; output is byte-identical to the
-    /// serial run at any shard count. Runs that record traces or audit logs
-    /// or track ports fall back to the serial path silently (the output is
-    /// the same either way).
+    /// Number of intra-run worker shards (default 1: the one worker runs
+    /// inline on the calling thread). With `K > 1` the per-round
+    /// deliver/step loop is parallelized over `K` contiguous node ranges
+    /// under the round barrier; output is byte-identical at any shard
+    /// count. Runs that record traces or audit logs use one shard and
+    /// record why in [`crate::RuntimeCounters::shard_fallback`].
     pub shards: usize,
 }
 
@@ -97,58 +101,32 @@ pub struct SyncEngine<'n, P: SyncProtocol> {
     scratch: SyncScratch<P::Msg>,
 }
 
-/// Run-to-run reusable buffers (see `AsyncScratch` in the async engine):
-/// the payload arena, receiver inboxes, the touched/newly-awake lists, the
-/// handler outbox, the send queue, and the in-flight message queue.
+/// Run-to-run reusable buffers: receiver inboxes and the wake-dedup
+/// flags (per node, split across shards each run), and one
+/// [`SyncShardScratch`] per worker.
 struct SyncScratch<M> {
-    /// Payloads of queued and in-flight messages; entries everywhere else
-    /// are small [`PayloadRef`] handles into this arena.
-    arena: PayloadArena<M>,
-    in_flight: Vec<InFlight>,
     /// Per node: this round's delivered messages, already materialized
     /// (capacity persists across rounds and runs).
     inboxes: Vec<Vec<(Incoming, M)>>,
-    touched: Vec<usize>,
-    newly_awake: Vec<(NodeId, WakeCause)>,
     wake_queued: Vec<bool>,
-    entries_buf: Vec<(Port, PayloadRef)>,
-    /// The round's send queue: `(sender, port, payload, phase)` where phase
-    /// 0 = wake-handler send, 1 = step send (the packed-key bit relabeled
-    /// runs need to restore the identity delivery order).
-    outbox_all: Vec<(NodeId, Port, PayloadRef, u8)>,
-    /// Per-shard state for sharded runs; empty until the first `shards > 1`
-    /// run, rebuilt only when the shard count changes.
+    /// Per-worker state, rebuilt only when the shard count changes.
     shards: Vec<SyncShardScratch<M>>,
 }
 
-struct InFlight {
-    to: NodeId,
-    /// Identity runs: the sender's node index. Relabeled runs: the packed
-    /// key `(phase << FROM_IDX_BITS) | orig_sender` — a stable sort of the
-    /// queue by `(to, from)` restores the identity-space delivery order
-    /// (wake-phase sends before step sends, original ids ascending within
-    /// each), and masking with [`crate::network::FROM_IDX_MASK`] recovers
-    /// the original sender index.
-    from: u32,
-    /// Receiver-side port (the paper's `port_to(to, from)`), resolved from
-    /// the directed-edge index at send time so delivery does no lookups.
-    rport: Port,
-    msg: PayloadRef,
-}
-
-/// Run-to-run reusable per-shard buffers for the sharded sync path.
+/// One worker's run-to-run reusable buffers.
 struct SyncShardScratch<M> {
+    /// Payloads of queued and in-flight messages; entries everywhere else
+    /// are small [`PayloadRef`] handles into this arena.
     arena: PayloadArena<M>,
-    /// Messages collected at the round boundary, pending delivery to this
-    /// shard's inboxes (the per-shard slice of the serial `in_flight`).
-    inflight: Vec<SyncCross<M>>,
+    /// Messages pending delivery to this shard's inboxes next round. A lone
+    /// worker's sends go straight in; at `k > 1` the exchange collects them
+    /// at the round boundary.
+    inflight: Vec<DeliverEntry>,
     touched: Vec<usize>,
     newly_awake: Vec<(NodeId, WakeCause)>,
     entries_buf: Vec<(Port, PayloadRef)>,
     /// Staged outbound messages, one buffer per `(destination shard, phase)`.
     stage: Vec<Vec<SyncCross<M>>>,
-    /// Scratch a mailbox cell is swapped into while draining.
-    drain_buf: Vec<SyncCross<M>>,
 }
 
 impl<M> SyncShardScratch<M> {
@@ -160,7 +138,6 @@ impl<M> SyncShardScratch<M> {
             newly_awake: Vec::new(),
             entries_buf: Vec::new(),
             stage: (0..k * crate::shard::PHASES).map(|_| Vec::new()).collect(),
-            drain_buf: Vec::new(),
         }
     }
 }
@@ -170,15 +147,14 @@ struct SyncCross<M> {
     to: u32,
     from: u32,
     rport: u32,
-    payload: crate::shard::CrossPayload<M>,
+    payload: CrossPayload<M>,
 }
 
-/// What each shard publishes at a round boundary for the coordinator's
-/// quiescence/cap decision.
+/// A worker's round-boundary summary for the quiescence/cap decision.
 #[derive(Clone, Copy, Default)]
-struct SyncPublished {
-    /// Messages staged in the round just finished.
-    staged: u64,
+struct SyncProgress {
+    /// Whether the round just finished sent anything.
+    traffic: bool,
     /// Whether any awake owned node wants another round.
     wants: bool,
     /// Whether this shard still holds unapplied schedule wakes.
@@ -209,13 +185,7 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
     fn with_handle(net: crate::network::NetHandle<'n>, config: SyncConfig) -> SyncEngine<'n, P> {
         // Trace and audit streams are defined in chronological identity
         // order, so recording runs stay in the original space.
-        #[allow(unused_mut)]
-        let mut identity_only = config.trace_capacity.is_some();
-        #[cfg(feature = "audit")]
-        {
-            identity_only = identity_only || config.audit_capacity.is_some();
-        }
-        let space = if identity_only {
+        let space = if recorders(&config).is_on() {
             None
         } else {
             net.run_space().cloned()
@@ -242,14 +212,8 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
             config,
             protocols,
             scratch: SyncScratch {
-                arena: PayloadArena::default(),
-                in_flight: Vec::new(),
                 inboxes: (0..n).map(|_| Vec::new()).collect(),
-                touched: Vec::new(),
-                newly_awake: Vec::new(),
                 wake_queued: vec![false; n],
-                entries_buf: Vec::new(),
-                outbox_all: Vec::new(),
                 shards: Vec::new(),
             },
         }
@@ -291,370 +255,116 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
     }
 
     /// Executes one run without consuming the engine, so a trial loop can
-    /// [`SyncEngine::reset`] and go again over the same topology.
+    /// [`SyncEngine::reset`] and go again over the same topology. Recording
+    /// runs use one shard (see [`crate::shard::ShardFallback`]).
     pub fn run_mut(&mut self, schedule: &WakeSchedule) -> RunReport {
-        if self.sharded_eligible() {
-            return self.run_sharded(schedule);
-        }
         let n = self.net.n();
+        let net = &*self.net;
+        let config = &self.config;
+        let mut rec = recorders(config);
         let rel = self.space.as_deref().map(|s| &*s.rel);
-        let from_mask = if rel.is_some() {
-            crate::network::FROM_IDX_MASK
-        } else {
-            u32::MAX
-        };
+        let plan = RunPlan::new(n, config.shards, rec.fallback(), rel, &self.tables);
+        let k = plan.shards.k;
+        if self.scratch.shards.len() != k {
+            self.scratch.shards = (0..k).map(|_| SyncShardScratch::new(k)).collect();
+        }
         if let Some(rel) = rel {
             rel.permute_to_run(&mut self.protocols);
         }
-        let mut metrics = Metrics::new(n);
-        let mut obs = crate::obs::Obs::with_windows(n, self.config.obs, self.config.obs_windows);
-        let mut outputs: Vec<Option<u64>> = vec![None; n];
-        let mut awake = vec![false; n];
-        let mut awake_count = 0usize;
-        let mut ports_touched = if self.config.track_ports {
-            DenseBits::new(self.tables.directed_edges())
-        } else {
-            DenseBits::default()
-        };
-        // Adversary wakes grouped by round (run ids when relabeled).
-        let mut pending_wakes: Vec<(u64, NodeId)> = schedule
-            .entries()
-            .iter()
-            .map(|&(tick, v)| {
-                let v = rel.map_or(v, |rel| NodeId::new(rel.to_run(v.index())));
-                (tick / TICKS_PER_UNIT, v)
-            })
-            .collect();
-        pending_wakes.sort_unstable();
-        let mut wake_cursor = 0usize;
-        let mut trace: Option<Trace> = self.config.trace_capacity.map(Trace::with_capacity);
-        #[cfg(feature = "audit")]
-        let mut audit_log = self
-            .config
-            .audit_capacity
-            .map(crate::audit::AuditLog::with_capacity);
-        // Persistent per-round buffers from the engine scratch, allocated
-        // once and reused across rounds *and* across runs: the payload
-        // arena, receiver inboxes (with the list of receivers touched this
-        // round), the wake list, a dedup scratch, the handler outbox, the
-        // send queue, and the in-flight queue. A truncated previous run may
-        // have left residue; clear defensively (no-ops after a quiescent
-        // run).
-        let SyncScratch {
-            arena,
-            in_flight,
-            inboxes,
-            touched,
-            newly_awake,
-            wake_queued,
-            entries_buf,
-            outbox_all,
-            shards: _,
-        } = &mut self.scratch;
-        in_flight.clear();
-        for inbox in inboxes.iter_mut() {
-            inbox.clear();
+        let lens = plan.shards.node_lens();
+        let rows = split_lengths(&mut self.scratch.wake_queued, lens.clone())
+            .zip(split_lengths(&mut self.scratch.inboxes, lens));
+        let mut arrays = RunArrays::new(n);
+        let per_shard = self
+            .scratch
+            .shards
+            .iter_mut()
+            .zip(arrays.split(&mut self.protocols, &plan.shards))
+            .zip(plan.wakes(schedule, TICKS_PER_UNIT))
+            .zip(rows);
+        let mut workers: Vec<SyncShard<'_, P>> = Vec::with_capacity(k);
+        for (s, (((sc, nodes), wakes), (wake_queued, inboxes))) in per_shard.enumerate() {
+            let (lo, hi) = plan.shards.range(s);
+            // A truncated previous run may have left residue.
+            sc.arena.clear();
+            sc.inflight.clear();
+            sc.touched.clear();
+            sc.newly_awake.clear();
+            wake_queued.fill(false);
+            inboxes.iter_mut().for_each(Vec::clear);
+            let edge_base = plan.tables.edge_offset[lo];
+            let slots = plan.tables.edge_offset[hi] - edge_base;
+            workers.push(SyncShard {
+                me: s,
+                lo,
+                edge_base,
+                plan: plan.shards,
+                net,
+                tables: plan.tables,
+                config,
+                nodes,
+                wake_queued,
+                inboxes,
+                sm: ShardMetrics::new(config.track_ports, slots),
+                obs: crate::obs::ShardObs::new(hi - lo, config.obs, config.obs_windows),
+                rec: std::mem::take(&mut rec),
+                sc,
+                wakes,
+                cursor: 0,
+                rel,
+                from_mask: plan.sender_mask(),
+                staged: 0,
+                events: 0,
+            });
         }
-        arena.clear();
-        touched.clear();
-        newly_awake.clear();
-        wake_queued.iter_mut().for_each(|q| *q = false);
-        entries_buf.clear();
-        outbox_all.clear();
-        let mut truncated = false;
-        let mut round = 0u64;
-        loop {
-            if round >= self.config.max_rounds {
-                truncated = true;
-                break;
+        // Cap first, then quiescence: a quiescent run sitting on the cap
+        // still truncates.
+        let mut tally = RunTally::default();
+        let mut next = |p: SyncProgress| {
+            if tally.rounds >= config.max_rounds {
+                tally.truncated = true;
+                return u64::MAX;
             }
-            let traffic = !in_flight.is_empty();
-            let wakes_pending = wake_cursor < pending_wakes.len();
-            let wants: bool = self
-                .protocols
-                .iter()
-                .enumerate()
-                .any(|(v, p)| awake[v] && p.wants_round());
-            if !traffic && !wakes_pending && !wants {
-                break;
+            if !p.traffic && !p.wakes_pending && !p.wants {
+                return u64::MAX;
             }
             // A round entered with no traffic (only pending wakes or
             // timer-driven nodes) delivers nothing — the sync analog of the
             // async executor's horizon stall.
-            if !traffic {
-                obs.runtime.stall_rounds += 1;
+            if !p.traffic {
+                tally.stall_rounds += 1;
             }
-            // Deliver round r-1 traffic: group per receiver, stable order.
-            // All deliveries of a round share one tick, so the last-receipt
-            // watermark moves once per round, not once per message.
-            let tick = round * TICKS_PER_UNIT;
-            if traffic {
-                metrics.last_receipt_tick =
-                    Some(metrics.last_receipt_tick.map_or(tick, |t| t.max(tick)));
-            }
-            obs.events += in_flight.len() as u64;
-            obs.tl_delivered(tick, in_flight.len() as u64);
-            if rel.is_some() {
-                // Stable sort by (receiver, packed key) restores each
-                // receiver's identity-space delivery order (see
-                // `InFlight::from`).
-                in_flight.sort_by_key(|m| (m.to, m.from));
-            }
-            for m in in_flight.drain(..) {
-                metrics.received_by[m.to.index()] += 1;
-                if let Some(tr) = trace.as_mut() {
-                    tr.record(TraceEvent::Deliver {
-                        tick,
-                        from: NodeId::new((m.from & from_mask) as usize),
-                        to: m.to,
-                    });
-                }
-                // Recorded before any wake of this round, so wake causality
-                // streams in order (the whole in-flight queue drains first).
-                #[cfg(feature = "audit")]
-                if let Some(log) = audit_log.as_mut() {
-                    log.record(crate::audit::AuditEvent::Deliver {
-                        tick,
-                        from: m.from & from_mask,
-                        to: m.to.index() as u32,
-                        slot: m.msg.slot(),
-                        gen: m.msg.generation(),
-                    });
-                }
-                if self.config.track_ports {
-                    ports_touched.set(self.tables.slot(m.to, m.rport));
-                }
-                let sender_id = match self.net.mode() {
-                    crate::knowledge::KnowledgeMode::Kt1 => Some(
-                        self.net
-                            .ids()
-                            .id(NodeId::new((m.from & from_mask) as usize)),
-                    ),
-                    crate::knowledge::KnowledgeMode::Kt0 => None,
-                };
-                if inboxes[m.to.index()].is_empty() {
-                    touched.push(m.to.index());
-                }
-                if !awake[m.to.index()] {
-                    // Provisional causal predecessor: the round's first
-                    // delivery to a sleeping node (erased below if the
-                    // adversary wakes it this round instead).
-                    obs.note_wake_pred(m.to.index(), m.from & from_mask);
-                }
-                inboxes[m.to.index()].push((
-                    Incoming {
-                        port: m.rport,
-                        sender_id,
-                    },
-                    arena.take(m.msg),
-                ));
-            }
-            // Round-r adversary wakes take precedence over message wakes.
-            while wake_cursor < pending_wakes.len() && pending_wakes[wake_cursor].0 <= round {
-                let v = pending_wakes[wake_cursor].1;
-                wake_cursor += 1;
-                if !awake[v.index()] && !wake_queued[v.index()] {
-                    wake_queued[v.index()] = true;
-                    newly_awake.push((v, WakeCause::Adversary));
-                }
-            }
-            // Message receipt wakes.
-            for &v in touched.iter() {
-                if !awake[v] && !wake_queued[v] {
-                    wake_queued[v] = true;
-                    newly_awake.push((NodeId::new(v), WakeCause::Message));
-                }
-            }
-            newly_awake.sort_unstable_by_key(|&(v, _)| v);
-            obs.events += newly_awake.len() as u64;
-            obs.tl_wakes(tick, newly_awake.len() as u64);
-            for &(v, cause) in newly_awake.iter() {
-                if cause == WakeCause::Adversary {
-                    // Adversary wakes take precedence over message wakes in
-                    // the same round: the node is a root of the causal
-                    // forest, not a successor.
-                    obs.clear_wake_pred(v.index());
-                }
-                let ov = rel.map_or(v, |rel| NodeId::new(rel.to_orig(v.index())));
-                if let Some(tr) = trace.as_mut() {
-                    tr.record(TraceEvent::Wake {
-                        tick,
-                        node: ov,
-                        cause,
-                    });
-                }
-                #[cfg(feature = "audit")]
-                if let Some(log) = audit_log.as_mut() {
-                    log.record(crate::audit::AuditEvent::Wake {
-                        tick,
-                        node: ov.index() as u32,
-                        cause,
-                    });
-                    if let Some(advice) = self.config.advice.as_deref() {
-                        log.record(crate::audit::AuditEvent::AdviceRead {
-                            tick,
-                            node: ov.index() as u32,
-                            bits: advice[ov.index()].len() as u32,
-                        });
-                    }
-                }
-                awake[v.index()] = true;
-                awake_count += 1;
-                metrics.wake_tick[v.index()] = Some(tick);
-                metrics.first_wake_tick =
-                    Some(metrics.first_wake_tick.map_or(tick, |t| t.min(tick)));
-                if awake_count == n {
-                    metrics.all_awake_tick = Some(tick);
-                }
-                if rel.is_some() {
-                    obs.phases.set_handler(tick, 0, ov.index() as u32);
-                }
-                let mut ctx = Context::new(
-                    ov,
-                    self.net.graph().degree(ov),
-                    self.net.mode(),
-                    self.tables.id_to_port(v.index()),
-                    &mut *entries_buf,
-                    &mut *arena,
-                    self.config.channel,
-                    self.config.record_congest_violations,
-                    &mut metrics.congest_violations,
-                    &mut outputs[v.index()],
-                    &mut obs.phases,
-                    tick,
-                );
-                self.protocols[v.index()].on_wake(&mut ctx, cause);
-                for (port, r) in entries_buf.drain(..) {
-                    outbox_all.push((v, port, r, 0));
-                }
-            }
-            for &(v, _) in newly_awake.iter() {
-                wake_queued[v.index()] = false;
-            }
-            newly_awake.clear();
-            touched.clear();
-            // Compute-and-send step for every awake node. The inbox is a
-            // draining view over the node's persistent buffer; handler sends
-            // go straight into the arena via the context.
-            for v in 0..n {
-                if !awake[v] {
-                    continue;
-                }
-                // Warm the next node's protocol state and inbox row while
-                // this handler runs.
-                crate::prefetch::prefetch_index(&self.protocols, v + 1);
-                crate::prefetch::prefetch_index(inboxes, v + 1);
-                let node = NodeId::new(v);
-                let ov = rel.map_or(node, |rel| NodeId::new(rel.to_orig(v)));
-                if !inboxes[v].is_empty() {
-                    obs.on_batch(inboxes[v].len());
-                }
-                let mut inbox = Inbox::new(&mut inboxes[v]);
-                if rel.is_some() {
-                    obs.phases.set_handler(tick, 1, ov.index() as u32);
-                }
-                let mut ctx = Context::new(
-                    ov,
-                    self.net.graph().degree(ov),
-                    self.net.mode(),
-                    self.tables.id_to_port(v),
-                    &mut *entries_buf,
-                    &mut *arena,
-                    self.config.channel,
-                    self.config.record_congest_violations,
-                    &mut metrics.congest_violations,
-                    &mut outputs[v],
-                    &mut obs.phases,
-                    tick,
-                );
-                self.protocols[v].on_messages_batch(&mut ctx, &mut inbox);
-                drop(inbox);
-                for (port, r) in entries_buf.drain(..) {
-                    outbox_all.push((node, port, r, 1));
-                }
-            }
-            // Queue round-r sends for round r+1 delivery (CONGEST was
-            // enforced at enqueue time by the context; here we only account
-            // and route).
-            for (from, port, r, phase) in outbox_all.drain(..) {
-                let slot = self.tables.slot(from, port);
-                let hot = self.tables.edge_hot[slot];
-                let to = NodeId::new(hot.to as usize);
-                let of = rel.map_or(from, |rel| NodeId::new(rel.to_orig(from.index())));
-                let ot = rel.map_or(to, |rel| NodeId::new(rel.to_orig(to.index())));
-                let bits = arena.bits(r);
-                if let Some(tr) = trace.as_mut() {
-                    tr.record(TraceEvent::Send {
-                        tick,
-                        from: of,
-                        to: ot,
-                        bits,
-                    });
-                }
-                #[cfg(feature = "audit")]
-                if let Some(log) = audit_log.as_mut() {
-                    log.record(crate::audit::AuditEvent::Send {
-                        tick,
-                        from: of.index() as u32,
-                        to: ot.index() as u32,
-                        bits: bits as u32,
-                        slot: r.slot(),
-                        gen: r.generation(),
-                    });
-                }
-                metrics.messages_sent += 1;
-                metrics.bits_sent += bits as u64;
-                metrics.max_message_bits = metrics.max_message_bits.max(bits);
-                metrics.sent_by[from.index()] += 1;
-                // Sync deliveries always take one round: τ ticks of latency.
-                obs.on_send_at(tick, bits as u64, TICKS_PER_UNIT);
-                if self.config.track_ports {
-                    ports_touched.set(slot);
-                }
-                let rport = Port::new(hot.rport as usize);
-                in_flight.push(InFlight {
-                    to,
-                    from: if rel.is_some() {
-                        (u32::from(phase) << crate::network::FROM_IDX_BITS) | of.index() as u32
-                    } else {
-                        from.index() as u32
-                    },
-                    rport,
-                    msg: r,
-                });
-            }
-            round += 1;
-        }
-        if self.config.track_ports {
-            metrics.ports_used = Some(
-                (0..n)
-                    .map(|v| {
-                        ports_touched
-                            .count_range(self.tables.edge_offset[v], self.tables.edge_offset[v + 1])
-                            as u32
-                    })
-                    .collect(),
-            );
-        }
-        obs.timeline.finish();
-        obs.runtime.shards = 1;
-        obs.runtime.arena_high_water = arena.high_water() as u64;
-        obs.runtime.prefetch_batches = obs.batch_sizes.count();
-        obs.runtime.relabel_applied = rel.is_some();
-        crate::obs::add_global_events(obs.events);
-        let mut report = RunReport {
-            all_awake: awake_count == n,
-            rounds: round,
-            outputs,
-            truncated,
-            metrics,
-            trace,
-            obs,
-            #[cfg(feature = "audit")]
-            audit_log,
+            tally.rounds += 1;
+            tally.rounds - 1
         };
+        if let [w] = workers.as_mut_slice() {
+            // One shard: the worker runs inline, queueing sends straight
+            // into its in-flight list — no thread, barrier, or mailbox.
+            loop {
+                let round = next(w.progress());
+                if round == u64::MAX {
+                    break;
+                }
+                w.process_round(round);
+            }
+            w.finish();
+        } else {
+            crate::shard::exchange(&mut workers, |ps| {
+                next(
+                    ps.iter()
+                        .fold(SyncProgress::default(), |a, p| SyncProgress {
+                            traffic: a.traffic || p.traffic,
+                            wants: a.wants || p.wants,
+                            wakes_pending: a.wakes_pending || p.wakes_pending,
+                        }),
+                )
+            });
+        }
+        tally.events = workers.iter().map(|w| w.events).sum();
+        // Consume the workers first: that ends their borrows of `arrays`.
+        let outs = workers.into_iter().map(SyncShard::into_out).collect();
+        let report = plan.report(arrays, outs, tally, config.obs, config.track_ports);
         if let Some(rel) = rel {
-            crate::network::unpermute_report(rel, &mut report);
             rel.permute_to_orig(&mut self.protocols);
         }
         report
@@ -664,379 +374,150 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
     pub fn protocols(&self) -> &[P] {
         &self.protocols
     }
+}
 
-    /// Whether this run can take the sharded path. Trace/audit recording
-    /// and port tracking fall back to the serial path — which produces
-    /// identical output, so the fallback is safe to keep silent.
-    fn sharded_eligible(&self) -> bool {
-        if self.config.shards <= 1
-            || self.config.trace_capacity.is_some()
-            || self.config.track_ports
-        {
-            return false;
-        }
+/// The recorders `config` asks for (both off by default).
+fn recorders(config: &SyncConfig) -> Recorders {
+    Recorders {
+        trace: config.trace_capacity.map(Trace::with_capacity),
         #[cfg(feature = "audit")]
-        if self.config.audit_capacity.is_some() {
-            return false;
-        }
-        crate::shard::ShardPlan::new(self.net.n(), self.config.shards).k > 1
-    }
-
-    /// The sharded run: `K` workers execute the per-round deliver/step loop
-    /// over their node ranges, coordinated by this thread through a
-    /// two-phase barrier per round (the round barrier the model already
-    /// imposes). See the `shard` module docs for the protocol and the
-    /// determinism argument.
-    fn run_sharded(&mut self, schedule: &WakeSchedule) -> RunReport {
-        use crate::shard::{split_lengths, Cells, ShardMetrics, ShardPlan};
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::{Barrier, Mutex};
-
-        let net = &*self.net;
-        let tables = &*self.tables;
-        let config = &self.config;
-        // `self.tables` is already the run-space table set when the network
-        // has a run space, and the shard plan's contiguous node ranges are
-        // therefore contiguous in locality order.
-        let rel = self.space.as_deref().map(|s| &*s.rel);
-        let n = net.n();
-        let plan = ShardPlan::new(n, config.shards);
-        let k = plan.k;
-        if self.scratch.shards.len() != k {
-            self.scratch.shards = (0..k).map(|_| SyncShardScratch::new(k)).collect();
-        }
-        // Adversary wakes grouped by round, canonically (round, id)-sorted
-        // (run ids when relabeled).
-        let mut wakes_all: Vec<(u64, NodeId)> = schedule
-            .entries()
-            .iter()
-            .map(|&(tick, v)| {
-                let v = rel.map_or(v, |rel| NodeId::new(rel.to_run(v.index())));
-                (tick / TICKS_PER_UNIT, v)
-            })
-            .collect();
-        wakes_all.sort_unstable();
-        if let Some(rel) = rel {
-            rel.permute_to_run(&mut self.protocols);
-        }
-        let mut metrics = Metrics::new(n);
-        let mut outputs: Vec<Option<u64>> = vec![None; n];
-        let mut awake = vec![false; n];
-        let node_lens: Vec<usize> = (0..k)
-            .map(|s| {
-                let (lo, hi) = plan.range(s);
-                hi - lo
-            })
-            .collect();
-        let mut prot_it = split_lengths(self.protocols.as_mut_slice(), &node_lens).into_iter();
-        let mut out_it = split_lengths(outputs.as_mut_slice(), &node_lens).into_iter();
-        let mut awake_it = split_lengths(awake.as_mut_slice(), &node_lens).into_iter();
-        let mut wt_it = split_lengths(metrics.wake_tick.as_mut_slice(), &node_lens).into_iter();
-        let mut sb_it = split_lengths(metrics.sent_by.as_mut_slice(), &node_lens).into_iter();
-        let mut rb_it = split_lengths(metrics.received_by.as_mut_slice(), &node_lens).into_iter();
-        let mut wq_it =
-            split_lengths(self.scratch.wake_queued.as_mut_slice(), &node_lens).into_iter();
-        let mut ib_it = split_lengths(self.scratch.inboxes.as_mut_slice(), &node_lens).into_iter();
-        let mut workers: Vec<SyncShard<'_, P>> = Vec::with_capacity(k);
-        for (s, scr) in self.scratch.shards.iter_mut().enumerate() {
-            let (lo, hi) = plan.range(s);
-            let SyncShardScratch {
-                arena,
-                inflight,
-                touched,
-                newly_awake,
-                entries_buf,
-                stage,
-                drain_buf,
-            } = scr;
-            arena.clear();
-            inflight.clear();
-            touched.clear();
-            newly_awake.clear();
-            let wake_queued = wq_it.next().unwrap();
-            wake_queued.iter_mut().for_each(|q| *q = false);
-            let inboxes = ib_it.next().unwrap();
-            for inbox in inboxes.iter_mut() {
-                inbox.clear();
-            }
-            let wakes: Vec<(u64, NodeId)> = wakes_all
-                .iter()
-                .copied()
-                .filter(|&(_, v)| v.index() >= lo && v.index() < hi)
-                .collect();
-            workers.push(SyncShard {
-                me: s,
-                lo,
-                plan,
-                net,
-                tables,
-                config,
-                protocols: prot_it.next().unwrap(),
-                outputs: out_it.next().unwrap(),
-                awake: awake_it.next().unwrap(),
-                wake_tick: wt_it.next().unwrap(),
-                sent_by: sb_it.next().unwrap(),
-                received_by: rb_it.next().unwrap(),
-                wake_queued,
-                inboxes,
-                sm: ShardMetrics::default(),
-                obs: crate::obs::ShardObs::new(hi - lo, config.obs, config.obs_windows),
-                arena,
-                inflight,
-                touched,
-                newly_awake,
-                entries_buf,
-                stage,
-                drain_buf,
-                wakes,
-                cursor: 0,
-                rel,
-                from_mask: if rel.is_some() {
-                    crate::network::FROM_IDX_MASK
-                } else {
-                    u32::MAX
-                },
-                staged: 0,
-                events: 0,
-            });
-        }
-        let cells: Cells<SyncCross<P::Msg>> = Cells::new(k);
-        let slots: Vec<Mutex<SyncPublished>> = (0..k)
-            .map(|_| Mutex::new(SyncPublished::default()))
-            .collect();
-        let barrier = Barrier::new(k + 1);
-        let decision = AtomicU64::new(0);
-        let mut round = 0u64;
-        let mut truncated = false;
-        let mut stall_rounds = 0u64;
-        std::thread::scope(|scope| {
-            let cells = &cells;
-            let slots = &slots;
-            let barrier = &barrier;
-            let decision = &decision;
-            for w in &mut workers {
-                scope.spawn(move || w.run(cells, slots, decision, barrier));
-            }
-            // Coordinator: the serial loop's cap/quiescence check over the
-            // shards' publications (cap first, exactly like the serial
-            // path — a quiescent run sitting on the cap still truncates).
-            loop {
-                barrier.wait();
-                let mut traffic = false;
-                let mut wakes_pending = false;
-                let mut wants = false;
-                for slot in slots {
-                    let p = *slot.lock().unwrap();
-                    traffic |= p.staged > 0;
-                    wakes_pending |= p.wakes_pending;
-                    wants |= p.wants;
-                }
-                let decide = if round >= config.max_rounds {
-                    truncated = true;
-                    u64::MAX
-                } else if !traffic && !wakes_pending && !wants {
-                    u64::MAX
-                } else {
-                    round
-                };
-                decision.store(decide, Ordering::Relaxed);
-                barrier.wait();
-                if decide == u64::MAX {
-                    break;
-                }
-                // A round entered with no traffic (only pending wakes or
-                // timer-driven nodes) delivers nothing — the sync analog of
-                // the async executor's horizon stall.
-                if !traffic {
-                    stall_rounds += 1;
-                }
-                round += 1;
-            }
-        });
-        // Consume the workers first: their field moves end the slice borrows
-        // of `metrics`, so the scalar merge below can take it mutably.
-        let (sms, per_shard): (Vec<ShardMetrics>, Vec<(crate::obs::ShardObs, u64)>) = workers
-            .into_iter()
-            .map(|w| (w.sm, (w.obs, w.events)))
-            .unzip();
-        let mut awake_total = 0usize;
-        for sm in &sms {
-            sm.merge_into(&mut metrics);
-            awake_total += sm.awake_count;
-        }
-        let all_awake = awake_total == n;
-        if all_awake {
-            metrics.all_awake_tick = metrics.wake_tick.iter().filter_map(|&t| t).max();
-        }
-        let events: u64 = per_shard.iter().map(|&(_, e)| e).sum();
-        let obs_shards: Vec<crate::obs::ShardObs> = per_shard.into_iter().map(|(o, _)| o).collect();
-        let mut obs = crate::obs::merge_shard_obs(n, config.obs, &obs_shards);
-        obs.events = events;
-        obs.runtime.stall_rounds = stall_rounds;
-        obs.runtime.prefetch_batches = obs.batch_sizes.count();
-        obs.runtime.relabel_applied = rel.is_some();
-        crate::obs::add_global_events(events);
-        let mut report = RunReport {
-            all_awake,
-            rounds: round,
-            outputs,
-            truncated,
-            metrics,
-            trace: None,
-            obs,
-            #[cfg(feature = "audit")]
-            audit_log: None,
-        };
-        if let Some(rel) = rel {
-            crate::network::unpermute_report(rel, &mut report);
-            rel.permute_to_orig(&mut self.protocols);
-        }
-        report
+        audit: config
+            .audit_capacity
+            .map(crate::audit::AuditLog::with_capacity),
     }
 }
 
-/// One worker shard of a sharded sync run: the serial engine's per-round
-/// state restricted to a contiguous node range. Local node index = global
-/// id − `lo`.
+/// The sync engine's executor: one worker per shard, owning a contiguous
+/// node range. At `k = 1` it runs inline and owns every node; at `k > 1`
+/// the [`crate::shard::exchange`] drives it. Local node index = global id
+/// − `lo`.
 struct SyncShard<'e, P: SyncProtocol> {
     me: usize,
     lo: usize,
+    edge_base: usize,
     plan: crate::shard::ShardPlan,
     net: &'e Network,
     tables: &'e NodeTables,
     config: &'e SyncConfig,
-    protocols: &'e mut [P],
-    outputs: &'e mut [Option<u64>],
-    awake: &'e mut [bool],
-    wake_tick: &'e mut [Option<u64>],
-    sent_by: &'e mut [u64],
-    received_by: &'e mut [u64],
+    nodes: NodeSlices<'e, P>,
     wake_queued: &'e mut [bool],
     inboxes: &'e mut [Vec<(Incoming, P::Msg)>],
-    sm: crate::shard::ShardMetrics,
+    sm: ShardMetrics,
     obs: crate::obs::ShardObs,
-    arena: &'e mut PayloadArena<P::Msg>,
-    inflight: &'e mut Vec<SyncCross<P::Msg>>,
-    touched: &'e mut Vec<usize>,
-    newly_awake: &'e mut Vec<(NodeId, WakeCause)>,
-    entries_buf: &'e mut Vec<(Port, PayloadRef)>,
-    stage: &'e mut [Vec<SyncCross<P::Msg>>],
-    drain_buf: &'e mut Vec<SyncCross<P::Msg>>,
+    rec: Recorders,
+    sc: &'e mut SyncShardScratch<P::Msg>,
     /// This shard's schedule wakes, `(round, id)`-sorted (run ids when
     /// relabeled — the shard ranges partition run-id space).
     wakes: Vec<(u64, NodeId)>,
     cursor: usize,
     /// `Some` iff this run executes in the locality-ordered run space.
     rel: Option<&'e wakeup_graph::Relabeling>,
-    /// Sender-index extraction mask (see [`InFlight::from`]).
+    /// Sender-index extraction mask (see [`DeliverEntry::from`]).
     from_mask: u32,
-    /// Messages staged since the last publish.
+    /// Messages queued since the last progress summary.
     staged: u64,
-    /// Locally processed events (deliveries + wakes), merged at the end.
+    /// Locally processed events (deliveries + wakes).
     events: u64,
 }
 
-impl<P: SyncProtocol> SyncShard<'_, P> {
-    /// The worker loop; see `AsyncShard::run` for the barrier discipline.
-    /// Messages are only *collected* at the boundary and delivered inside
-    /// the round body, so a run stopped by the cap leaves them undelivered
-    /// and unaccounted — exactly like the serial engine's `in_flight` queue.
-    fn run(
-        &mut self,
-        cells: &crate::shard::Cells<SyncCross<P::Msg>>,
-        slots: &[std::sync::Mutex<SyncPublished>],
-        decision: &std::sync::atomic::AtomicU64,
-        barrier: &std::sync::Barrier,
-    ) {
-        self.publish_slot(slots);
-        loop {
-            barrier.wait();
-            self.collect_cells(cells);
-            barrier.wait();
-            let round = decision.load(std::sync::atomic::Ordering::Relaxed);
-            if round == u64::MAX {
-                break;
-            }
-            self.process_round(round);
-            self.publish_cells(cells);
-            self.publish_slot(slots);
-        }
-        self.obs.timeline.finish();
-        self.obs.events = self.events;
-        self.obs.arena_high_water = self.arena.high_water() as u64;
-        if self.rel.is_some() {
-            // Relabeled runs skip `stamp_new_spans`; install the tracked
-            // canonical (tick, phase, orig actor) minima instead so the
-            // cross-shard span merge reproduces the identity label order.
-            self.obs.adopt_tracked_keys();
-        }
-    }
+impl<P: SyncProtocol> crate::shard::Worker for SyncShard<'_, P> {
+    type Cross = SyncCross<P::Msg>;
+    type Progress = SyncProgress;
 
-    fn publish_slot(&mut self, slots: &[std::sync::Mutex<SyncPublished>]) {
+    fn progress(&mut self) -> SyncProgress {
         let wants = self
+            .nodes
             .awake
             .iter()
-            .zip(self.protocols.iter())
+            .zip(self.nodes.protocols.iter())
             .any(|(&a, p)| a && p.wants_round());
-        *slots[self.me].lock().unwrap() = SyncPublished {
-            staged: self.staged,
+        let p = SyncProgress {
+            traffic: self.staged > 0,
             wants,
             wakes_pending: self.cursor < self.wakes.len(),
         };
         self.staged = 0;
+        p
     }
 
-    fn publish_cells(&mut self, cells: &crate::shard::Cells<SyncCross<P::Msg>>) {
-        for dst in 0..self.plan.k {
-            if dst == self.me {
-                continue;
-            }
-            for phase in 0..crate::shard::PHASES {
-                let buf = &mut self.stage[dst * crate::shard::PHASES + phase];
-                if !buf.is_empty() {
-                    cells.publish(self.me, dst, phase, buf);
-                }
-            }
+    fn stage(&mut self) -> &mut [Vec<SyncCross<P::Msg>>] {
+        &mut self.sc.stage
+    }
+
+    /// Messages are only *collected* at the boundary and delivered inside
+    /// the round body, so a run stopped by the cap leaves them undelivered
+    /// and unaccounted, exactly like a lone worker's in-flight list.
+    fn ingest(&mut self, batch: &mut Vec<SyncCross<P::Msg>>) {
+        for m in batch.drain(..) {
+            self.sc.inflight.push(DeliverEntry {
+                to: m.to,
+                from: m.from,
+                rport: m.rport,
+                msg: m.payload.into_ref(&mut self.sc.arena),
+            });
         }
     }
 
-    /// Concatenates last round's staged messages into `inflight`,
-    /// phase-major then source-shard-major — the canonical serial
-    /// `outbox_all` order restricted to this shard's receivers.
-    fn collect_cells(&mut self, cells: &crate::shard::Cells<SyncCross<P::Msg>>) {
-        for phase in 0..crate::shard::PHASES {
-            for src in 0..self.plan.k {
-                if src == self.me {
-                    let buf = &mut self.stage[self.me * crate::shard::PHASES + phase];
-                    self.inflight.append(buf);
-                } else {
-                    cells.drain(src, self.me, phase, self.drain_buf);
-                    self.inflight.append(self.drain_buf);
-                }
-            }
+    fn window(&mut self, round: u64) {
+        self.process_round(round);
+    }
+
+    fn finish(&mut self) {
+        self.obs.timeline.finish();
+        self.obs.events = self.events;
+        self.obs.arena_high_water = self.sc.arena.high_water() as u64;
+        if self.rel.is_some() {
+            // Relabeled runs skip `stamp_new_spans`; install the tracked
+            // canonical (tick, phase, orig actor) minima instead so the span
+            // merge reproduces the identity label order.
+            self.obs.adopt_tracked_keys();
+        }
+    }
+}
+
+impl<P: SyncProtocol> SyncShard<'_, P> {
+    fn into_out(self) -> WorkerOut {
+        WorkerOut {
+            sm: self.sm,
+            obs: self.obs,
+            rec: self.rec,
         }
     }
 
-    /// The serial engine's round body over this shard's nodes: deliver,
-    /// queue wakes (adversary beats message), wake handlers ascending, then
-    /// the compute-and-send step ascending.
+    /// One round over this shard's nodes (Section 3.2 of the paper):
+    /// deliver last round's traffic, queue wakes (adversary beats message),
+    /// run wake handlers ascending, then the compute-and-send step
+    /// ascending.
     fn process_round(&mut self, round: u64) {
         let tick = round * TICKS_PER_UNIT;
-        let mut inflight = std::mem::take(&mut *self.inflight);
+        let mut inflight = std::mem::take(&mut self.sc.inflight);
+        // All deliveries of a round share one tick, so the last-receipt
+        // watermark moves once per round, not once per message.
         if !inflight.is_empty() {
             self.sm.last_receipt_tick =
                 Some(self.sm.last_receipt_tick.map_or(tick, |t| t.max(tick)));
         }
         self.events += inflight.len() as u64;
-        self.obs.tl_delivered(tick, inflight.len() as u64);
+        let (delivered, sends0, bits0) = (inflight.len() as u64, self.obs.sends, self.sm.bits_sent);
         if self.rel.is_some() {
             // Stable sort by (receiver, packed key) restores each receiver's
-            // identity-space delivery order (see `InFlight::from`).
+            // identity-space delivery order (see `DeliverEntry::from`).
             inflight.sort_by_key(|m| (m.to, m.from));
         }
+        let recording = self.rec.is_on();
         for m in inflight.drain(..) {
             let li = m.to as usize - self.lo;
-            self.received_by[li] += 1;
+            let to = NodeId::new(m.to as usize);
+            self.nodes.received_by[li] += 1;
+            // Recorded before any wake of this round, so wake causality
+            // streams in order (the whole in-flight queue drains first).
+            if recording {
+                self.rec.deliver(tick, m.from & self.from_mask, to, m.msg);
+            }
+            if self.config.track_ports {
+                let slot = self.tables.slot(to, Port::new(m.rport as usize));
+                self.sm.ports.set(slot - self.edge_base);
+            }
             let sender_id = match self.net.mode() {
                 crate::knowledge::KnowledgeMode::Kt1 => Some(
                     self.net
@@ -1046,174 +527,211 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
                 crate::knowledge::KnowledgeMode::Kt0 => None,
             };
             if self.inboxes[li].is_empty() {
-                self.touched.push(li);
+                self.sc.touched.push(li);
             }
-            if !self.awake[li] {
+            if !self.nodes.awake[li] {
+                // Provisional causal predecessor: the round's first delivery
+                // to a sleeping node (erased below if the adversary wakes it
+                // this round instead).
                 self.obs.note_wake_pred(li, m.from & self.from_mask);
             }
-            let msg = match m.payload {
-                crate::shard::CrossPayload::Local(r) => self.arena.take(r),
-                crate::shard::CrossPayload::Remote(payload, _) => payload,
-            };
             self.inboxes[li].push((
                 Incoming {
                     port: Port::new(m.rport as usize),
                     sender_id,
                 },
-                msg,
+                self.sc.arena.take(m.msg),
             ));
         }
-        *self.inflight = inflight;
+        self.sc.inflight = inflight;
+        // Round-r adversary wakes take precedence over message wakes.
         while self.cursor < self.wakes.len() && self.wakes[self.cursor].0 <= round {
             let v = self.wakes[self.cursor].1;
             self.cursor += 1;
             let li = v.index() - self.lo;
-            if !self.awake[li] && !self.wake_queued[li] {
+            if !self.nodes.awake[li] && !self.wake_queued[li] {
                 self.wake_queued[li] = true;
-                self.newly_awake.push((v, WakeCause::Adversary));
+                self.sc.newly_awake.push((v, WakeCause::Adversary));
             }
         }
-        let mut touched = std::mem::take(&mut *self.touched);
-        for &li in &touched {
-            if !self.awake[li] && !self.wake_queued[li] {
+        // Message receipt wakes.
+        for &li in &self.sc.touched {
+            if !self.nodes.awake[li] && !self.wake_queued[li] {
                 self.wake_queued[li] = true;
-                self.newly_awake
+                self.sc
+                    .newly_awake
                     .push((NodeId::new(li + self.lo), WakeCause::Message));
             }
         }
-        touched.clear();
-        *self.touched = touched;
-        let mut newly = std::mem::take(&mut *self.newly_awake);
+        self.sc.touched.clear();
+        let mut newly = std::mem::take(&mut self.sc.newly_awake);
         newly.sort_unstable_by_key(|&(v, _)| v);
         self.events += newly.len() as u64;
         self.obs.tl_wakes(tick, newly.len() as u64);
         for &(v, cause) in newly.iter() {
             let li = v.index() - self.lo;
             if cause == WakeCause::Adversary {
+                // The node is a root of the causal forest, not a successor.
                 self.obs.clear_wake_pred(li);
             }
-            self.awake[li] = true;
-            self.sm.awake_count += 1;
-            self.wake_tick[li] = Some(tick);
-            self.sm.first_wake_tick = Some(self.sm.first_wake_tick.map_or(tick, |t| t.min(tick)));
             let ov = self
                 .rel
                 .map_or(v, |rel| NodeId::new(rel.to_orig(v.index())));
-            if self.rel.is_some() {
-                self.obs.phases.set_handler(tick, 0, ov.index() as u32);
+            if self.rec.is_on() {
+                self.rec
+                    .wake(tick, ov, cause, self.config.advice.as_deref());
             }
-            let mut entries = std::mem::take(&mut *self.entries_buf);
-            let mut ctx = Context::new(
-                ov,
-                self.net.graph().degree(ov),
-                self.net.mode(),
-                self.tables.id_to_port(v.index()),
-                &mut entries,
-                self.arena,
-                self.config.channel,
-                self.config.record_congest_violations,
-                &mut self.sm.congest_violations,
-                &mut self.outputs[li],
-                &mut self.obs.phases,
-                tick,
-            );
-            self.protocols[li].on_wake(&mut ctx, cause);
-            if self.rel.is_none() {
-                self.obs.stamp_new_spans(tick, 0, v.index() as u32);
-            }
-            self.route_outbox(&mut entries, v, 0, tick);
-            *self.entries_buf = entries;
+            self.nodes.awake[li] = true;
+            self.sm.awake_count += 1;
+            self.nodes.wake_tick[li] = Some(tick);
+            self.sm.first_wake_tick = Some(self.sm.first_wake_tick.map_or(tick, |t| t.min(tick)));
+            self.step(v, 0, tick, |p, ctx, _| p.on_wake(ctx, cause));
         }
         for &(v, _) in newly.iter() {
             self.wake_queued[v.index() - self.lo] = false;
         }
         newly.clear();
-        *self.newly_awake = newly;
-        for li in 0..self.awake.len() {
-            if !self.awake[li] {
+        self.sc.newly_awake = newly;
+        // Compute-and-send step for every awake node. The inbox is a
+        // draining view over the node's persistent buffer; handler sends go
+        // straight into the arena via the context.
+        for li in 0..self.nodes.awake.len() {
+            if !self.nodes.awake[li] {
                 continue;
             }
             // Warm the next node's protocol state and inbox row while this
             // handler runs.
-            crate::prefetch::prefetch_index(self.protocols, li + 1);
+            crate::prefetch::prefetch_index(self.nodes.protocols, li + 1);
             crate::prefetch::prefetch_index(self.inboxes, li + 1);
-            let v = NodeId::new(li + self.lo);
-            let ov = self
-                .rel
-                .map_or(v, |rel| NodeId::new(rel.to_orig(v.index())));
             if !self.inboxes[li].is_empty() {
                 self.obs.on_batch(self.inboxes[li].len());
             }
-            let mut inbox = Inbox::new(&mut self.inboxes[li]);
-            if self.rel.is_some() {
-                self.obs.phases.set_handler(tick, 1, ov.index() as u32);
+            let v = NodeId::new(li + self.lo);
+            self.step(v, 1, tick, |p, ctx, inbox| {
+                p.on_messages_batch(ctx, &mut Inbox::new(inbox))
+            });
+        }
+        if self.rec.is_on() {
+            // Sends are logged once the round's handlers have all run, in
+            // queue order — the in-flight list holds exactly this round's
+            // sends, since recording runs use one shard.
+            for m in &self.sc.inflight {
+                let (from, to) = (NodeId::new(m.from as usize), NodeId::new(m.to as usize));
+                self.rec
+                    .send(tick, from, to, self.sc.arena.bits(m.msg), m.msg);
             }
-            let mut entries = std::mem::take(&mut *self.entries_buf);
-            let mut ctx = Context::new(
-                ov,
-                self.net.graph().degree(ov),
-                self.net.mode(),
-                self.tables.id_to_port(li + self.lo),
-                &mut entries,
-                self.arena,
-                self.config.channel,
-                self.config.record_congest_violations,
-                &mut self.sm.congest_violations,
-                &mut self.outputs[li],
-                &mut self.obs.phases,
-                tick,
-            );
-            self.protocols[li].on_messages_batch(&mut ctx, &mut inbox);
-            drop(inbox);
-            if self.rel.is_none() {
-                self.obs.stamp_new_spans(tick, 1, v.index() as u32);
-            }
-            self.route_outbox(&mut entries, v, 1, tick);
-            *self.entries_buf = entries;
+        }
+        let (sends, bits) = (self.obs.sends - sends0, self.sm.bits_sent - bits0);
+        self.obs.tl_traffic(tick, delivered, sends, bits);
+    }
+
+    /// Runs one handler of node `v` in engine phase `phase` (0 = wake,
+    /// 1 = step) with a context over its inbox row, then routes its outbox.
+    fn step(
+        &mut self,
+        v: NodeId,
+        phase: usize,
+        tick: u64,
+        handler: impl FnOnce(&mut P, &mut Context<'_, P::Msg>, &mut Vec<(Incoming, P::Msg)>),
+    ) {
+        let li = v.index() - self.lo;
+        let ov = self
+            .rel
+            .map_or(v, |rel| NodeId::new(rel.to_orig(v.index())));
+        if self.rel.is_some() {
+            self.obs
+                .phases
+                .set_handler(tick, phase as u8, ov.index() as u32);
+        }
+        let mut ctx = Context::new(
+            ov,
+            self.net.graph().degree(ov),
+            self.net.mode(),
+            self.tables.id_to_port(v.index()),
+            &mut self.sc.entries_buf,
+            &mut self.sc.arena,
+            self.config.channel,
+            self.config.record_congest_violations,
+            &mut self.sm.congest_violations,
+            &mut self.nodes.outputs[li],
+            &mut self.obs.phases,
+            tick,
+        );
+        handler(
+            &mut self.nodes.protocols[li],
+            &mut ctx,
+            &mut self.inboxes[li],
+        );
+        if self.rel.is_none() {
+            self.obs
+                .stamp_new_spans(tick, phase as u8, v.index() as u32);
+        }
+        // Most step handlers send nothing (every awake node runs each
+        // round), so the silent case stays a length check.
+        if !self.sc.entries_buf.is_empty() {
+            let mut entries = std::mem::take(&mut self.sc.entries_buf);
+            self.route_outbox(&mut entries, v, phase);
+            self.sc.entries_buf = entries;
         }
     }
 
-    /// The serial send-queue pass for one handler's outbox, staging into
-    /// per-`(shard, phase)` buffers for next-round delivery. `tick` is the
-    /// round's dispatch tick — sends attribute to the origin round.
-    fn route_outbox(
-        &mut self,
-        entries: &mut Vec<(Port, PayloadRef)>,
-        from: NodeId,
-        phase: usize,
-        tick: u64,
-    ) {
-        let of = self
-            .rel
-            .map_or(from, |rel| NodeId::new(rel.to_orig(from.index())));
+    /// Accounts and queues one handler's outbox for next-round delivery
+    /// (CONGEST was enforced at enqueue time by the context). A lone worker
+    /// queues straight into its in-flight list; at `k > 1` sends are staged
+    /// per `(destination shard, phase)` for the exchange.
+    fn route_outbox(&mut self, entries: &mut Vec<(Port, PayloadRef)>, from: NodeId, phase: usize) {
+        let obs_full = self.obs.level == crate::obs::ObsLevel::Full;
+        let inline = self.plan.k == 1;
+        let key = match self.rel {
+            Some(rel) => {
+                ((phase as u32) << crate::network::FROM_IDX_BITS) | rel.to_orig(from.index()) as u32
+            }
+            None => from.index() as u32,
+        };
+        // Counts and bit sums stay in registers across the outbox (every
+        // entry shares the sender and the round); one update per outbox
+        // keeps struct-field read-modify-writes off the loop-carried path.
+        let sent = entries.len() as u64;
+        let (mut sum_bits, mut max_bits) = (0u64, 0usize);
         for (port, r) in entries.drain(..) {
             let slot = self.tables.slot(from, port);
             let hot = self.tables.edge_hot[slot];
-            let to = hot.to as usize;
-            let bits = self.arena.bits(r);
-            self.sm.messages_sent += 1;
-            self.sm.bits_sent += bits as u64;
-            self.sm.max_message_bits = self.sm.max_message_bits.max(bits);
-            self.sent_by[from.index() - self.lo] += 1;
-            // Sync deliveries always take one round: τ ticks of latency.
-            self.obs.on_send_at(tick, bits as u64, TICKS_PER_UNIT);
-            let dst = self.plan.shard_of(to);
-            let payload = if dst == self.me {
-                crate::shard::CrossPayload::Local(r)
-            } else {
-                crate::shard::CrossPayload::Remote(self.arena.take(r), bits)
-            };
-            self.staged += 1;
-            self.stage[dst * crate::shard::PHASES + phase].push(SyncCross {
+            let bits = self.sc.arena.bits(r);
+            sum_bits += bits as u64;
+            max_bits = max_bits.max(bits);
+            if obs_full {
+                self.obs.message_bits.record(bits as u64);
+            }
+            if self.config.track_ports {
+                self.sm.ports.set(slot - self.edge_base);
+            }
+            if inline {
+                self.sc.inflight.push(DeliverEntry {
+                    to: hot.to,
+                    from: key,
+                    rport: hot.rport,
+                    msg: r,
+                });
+                continue;
+            }
+            let dst = self.plan.shard_of(hot.to as usize);
+            let payload = CrossPayload::stage(r, dst == self.me, &mut self.sc.arena);
+            self.sc.stage[dst * crate::shard::PHASES + phase].push(SyncCross {
                 to: hot.to,
-                from: if self.rel.is_some() {
-                    ((phase as u32) << crate::network::FROM_IDX_BITS) | of.index() as u32
-                } else {
-                    from.index() as u32
-                },
+                from: key,
                 rport: hot.rport,
                 payload,
             });
+        }
+        self.sm.messages_sent += sent;
+        self.sm.bits_sent += sum_bits;
+        self.sm.max_message_bits = self.sm.max_message_bits.max(max_bits);
+        self.nodes.sent_by[from.index() - self.lo] += sent;
+        self.staged += sent;
+        self.obs.sends += sent;
+        if obs_full {
+            // Sync deliveries always take one round: τ ticks of latency.
+            self.obs.delay_ticks.add_run(TICKS_PER_UNIT, sent);
         }
     }
 }
@@ -1432,9 +950,9 @@ mod tests {
         assert_eq!(report.outputs[0], Some(5));
     }
 
-    /// Sharded sync runs reproduce the serial engine byte-for-byte: metrics,
-    /// outputs, and both observability serializations — at any shard count,
-    /// including more shards than nodes.
+    /// Sharded sync runs reproduce the one-shard run byte-for-byte:
+    /// metrics, outputs, and both observability serializations — at any
+    /// shard count, including more shards than nodes.
     #[test]
     fn sync_sharded_run_is_byte_identical_to_serial() {
         let net = Network::kt1(generators::erdos_renyi_connected(37, 0.15, 11).unwrap(), 11);
@@ -1450,6 +968,7 @@ mod tests {
         let serial = run(1);
         for shards in [2, 3, 4, 64] {
             let sharded = run(shards);
+            assert_eq!(sharded.obs.runtime.shards as usize, shards.min(37));
             assert_eq!(serial.metrics, sharded.metrics, "shards={shards}");
             assert_eq!(serial.all_awake, sharded.all_awake);
             assert_eq!(serial.rounds, sharded.rounds, "shards={shards}");
@@ -1493,7 +1012,7 @@ mod tests {
     }
 
     /// The tentpole contract on the sync engine: relabeled runs reproduce
-    /// identity-space runs byte for byte, serial and sharded.
+    /// identity-space runs byte for byte, at one shard and at three.
     #[test]
     fn sync_relabeled_run_is_byte_identical_to_identity_run() {
         let g = generators::erdos_renyi_connected(41, 0.12, 13).unwrap();
@@ -1530,7 +1049,7 @@ mod tests {
     }
 
     /// `wants_round` keeps the sharded clock running exactly as long as the
-    /// serial one: silent-timer protocols terminate with identical rounds.
+    /// one-shard one: silent-timer protocols terminate with identical rounds.
     #[test]
     fn sync_sharded_wants_round_matches_serial() {
         let net = Network::kt1(generators::path(7).unwrap(), 1);

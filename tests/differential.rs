@@ -7,10 +7,11 @@
 //! the final node tables agree bit for bit — outputs, wake ticks, message
 //! and bit counts, per-node send/receive tallies.
 //!
-//! The `*_sharded_equals_serial` properties additionally pin the intra-run
-//! sharded engines to the serial ones: for every protocol family, shard
-//! counts 2–4 must reproduce the serial digest *and* the byte-exact
-//! observability exports (schema-3 JSON and Prometheus text).
+//! The `*_sharded_equals_serial` properties additionally pin the shard
+//! exchange: each engine has one executor, and for every protocol family
+//! its runs at 2–4 shards must reproduce the one-shard (inline) digest
+//! *and* the byte-exact observability exports (schema-4 JSON and
+//! Prometheus text).
 
 use std::sync::Arc;
 
@@ -184,10 +185,10 @@ fn run_sync<P: SyncProtocol>(
     SyncEngine::<P>::new(net, config).run(schedule)
 }
 
-/// Runs `P` serially and with `shards` worker shards over the same seeds
-/// (plain, non-audited configs — audit recording forces the serial path)
-/// and asserts digest equality plus byte-identity of both observability
-/// serializations.
+/// Runs `P` at one shard and at `shards` worker shards over the same seeds
+/// (plain, non-audited configs — audit recording forces one shard) and
+/// asserts that the exchange really ran, digest equality, and byte-identity
+/// of both observability serializations.
 fn assert_async_sharded_matches_serial<P: AsyncProtocol>(
     net: &Network,
     schedule: &WakeSchedule,
@@ -205,6 +206,7 @@ fn assert_async_sharded_matches_serial<P: AsyncProtocol>(
     };
     let serial = run(1);
     let sharded = run(shards);
+    prop_assert_eq!(sharded.obs.runtime.shards as usize, shards.min(net.n()));
     let diffs = RunDigest::of(&serial).diff(&RunDigest::of(&sharded));
     prop_assert!(
         diffs.is_empty(),
@@ -229,7 +231,7 @@ fn assert_async_sharded_matches_serial<P: AsyncProtocol>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Sharded async flood vs serial: metrics, outputs, and the full
+    /// Sharded async flood vs one shard: metrics, outputs, and the full
     /// observability export must agree byte for byte at 2 and 4 shards.
     #[test]
     fn flood_sharded_equals_serial(
@@ -265,7 +267,7 @@ proptest! {
     }
 
     /// SpannerWake under CONGEST with oracle advice — the most stateful
-    /// async protocol in the tree — sharded vs serial.
+    /// async protocol in the tree — sharded vs one shard.
     #[test]
     fn spanner_wake_sharded_equals_serial(
         g in connected_graph(),
@@ -287,7 +289,7 @@ proptest! {
         assert_async_sharded_matches_serial::<SpannerWake>(&net, &schedule, config, 9, shards);
     }
 
-    /// Sharded sync FastWakeUp vs serial, including both obs exports.
+    /// Sharded sync FastWakeUp vs one shard, including both obs exports.
     #[test]
     fn fast_wakeup_sharded_equals_serial(
         g in connected_graph(),
