@@ -10,13 +10,15 @@ use std::time::Duration;
 
 use wakeup_core::flooding::{FloodAsync, FloodSync};
 use wakeup_graph::NodeId;
+use wakeup_scenario::run::build_graph;
+use wakeup_scenario::GraphSpec;
 use wakeup_sim::adversary::WakeSchedule;
 use wakeup_sim::{AsyncConfig, AsyncEngine, Network, SyncConfig, SyncEngine};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_throughput");
     for &n in &[1_000usize, 10_000] {
-        let g = wakeup_bench::sparse_graph(n, 7);
+        let g = build_graph(&GraphSpec::Sparse { n, seed: 7 });
         let net = Network::kt0(g.clone(), 7);
         let schedule = WakeSchedule::single(NodeId::new(0));
         // One flood processes ~2m deliveries + n wakes; report it once so

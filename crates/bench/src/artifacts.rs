@@ -1,12 +1,13 @@
 //! Thread-safe workload artifact cache with single-flight construction.
 //!
-//! Every measurement entry point (the `measure_*` builders, the criterion
-//! benches built on them, and the `table1`/`experiments`/`engine_perf`
-//! binaries) needs the same expensive setup artifacts: a generated graph, a
-//! `Network` with its port/ID assignments and cached node tables, and — for
-//! the advising schemes — the oracle's advice bitstrings. Before this cache,
-//! every trial regenerated all of them; a criterion bench at `n = 512`
-//! would re-run the spanner oracle hundreds of times for identical output.
+//! Every measurement entry point ([`crate::run_cell`], through which the
+//! `table1`/`experiments` binaries and the criterion benches measure Table 1
+//! cells, and `engine_perf`) needs the same expensive setup artifacts: a
+//! generated graph, a `Network` with its port/ID assignments and cached
+//! node tables, and — for the advising schemes — the oracle's advice
+//! bitstrings. Before this cache, every trial regenerated all of them; a
+//! criterion bench at `n = 512` would re-run the spanner oracle hundreds of
+//! times for identical output.
 //!
 //! The cache memoizes all three artifact kinds behind `Arc`s, keyed by the
 //! exact construction parameters (`family`, `n`, `seed`, knowledge mode, and
@@ -46,7 +47,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use wakeup_graph::{generators, Graph};
+use wakeup_graph::Graph;
+use wakeup_scenario::run::build_graph;
+use wakeup_scenario::GraphSpec;
 use wakeup_sim::persist;
 use wakeup_sim::{BitStr, KnowledgeMode, Network};
 use wakeup_store::{StoreError, StoreFile};
@@ -54,7 +57,7 @@ use wakeup_store::{StoreError, StoreFile};
 /// The graph families the measurement workloads draw from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphFamily {
-    /// `erdos_renyi_connected(n, 8/n, seed)` — the standard sparse workload.
+    /// The scenario spec's `sparse` family — the standard sparse workload.
     Sparse,
     /// `complete(n)` (the seed is ignored by the generator but still part of
     /// the key, since it seeds the network's port/ID assignments).
@@ -195,23 +198,33 @@ impl<K: Eq + Hash + Clone, V> Shard<K, V> {
         }
     }
 
-    fn get_or_build(&self, key: &K, build: impl FnOnce() -> V) -> Arc<V> {
+    /// The artifact for `key`: `load` (the disk tier) is tried first, and
+    /// only if it yields nothing does `build` run and count as a build.
+    fn get_or_build(
+        &self,
+        key: &K,
+        load: impl FnOnce() -> Option<V>,
+        build: impl FnOnce() -> V,
+    ) -> Arc<V> {
         let cell = {
             let mut map = self.map.lock().expect("artifact cache poisoned");
             Arc::clone(map.entry(key.clone()).or_default())
         };
         // The map lock is released; concurrent requests for this key now
-        // race on the cell, and `OnceLock` guarantees exactly one `build`
-        // runs while the others block until it finishes.
+        // race on the cell, and `OnceLock` guarantees exactly one
+        // load-or-build runs while the others block until it finishes.
         Arc::clone(cell.get_or_init(|| {
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            Arc::new(build())
+            Arc::new(load().unwrap_or_else(|| {
+                self.builds.fetch_add(1, Ordering::Relaxed);
+                build()
+            }))
         }))
     }
 }
 
-/// Build counts per artifact kind — observability for the single-flight
-/// guarantee (tests assert "exactly one build per key").
+/// Cold-build counts per artifact kind (store hits are not builds) —
+/// observability for the single-flight guarantee (tests assert "exactly
+/// one build per key").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuildCounts {
     /// Graphs generated.
@@ -343,14 +356,20 @@ impl ArtifactCache {
         self.store.as_ref().map(|s| s.dir.as_path())
     }
 
-    /// The generated graph for `(family, n, seed)`, built at most once.
+    /// The generated graph for `(family, n, seed)`, built at most once by
+    /// the scenario runner's [`build_graph`], so a cached network equals
+    /// `run::build_network` of the matching spec.
     pub fn graph(&self, family: GraphFamily, n: usize, seed: u64) -> Arc<Graph> {
-        self.graphs
-            .get_or_build(&(family, n, seed), || match family {
-                GraphFamily::Sparse => generators::erdos_renyi_connected(n, 8.0 / n as f64, seed)
-                    .expect("valid sparse workload size"),
-                GraphFamily::Complete => generators::complete(n).expect("valid complete size"),
-            })
+        self.graphs.get_or_build(
+            &(family, n, seed),
+            || None,
+            || {
+                build_graph(&match family {
+                    GraphFamily::Sparse => GraphSpec::Sparse { n, seed },
+                    GraphFamily::Complete => GraphSpec::Complete { n },
+                })
+            },
+        )
     }
 
     /// The network for `key`, resolved through the tiers: in-process Arc →
@@ -359,19 +378,18 @@ impl ArtifactCache {
     /// arrives with pre-populated node tables — engines constructed from it
     /// skip the table derivation entirely.
     pub fn network(&self, key: NetworkKey) -> Arc<Network> {
-        self.networks.get_or_build(&key, || {
-            if let Some(store) = &self.store {
-                if let Some(net) = store.load(
+        self.networks.get_or_build(
+            &key,
+            || {
+                self.store.as_ref()?.load(
                     &key.store_file_name(),
                     persist::kind::NETWORK,
                     &key.store_key(),
                     persist::decode_network,
-                ) {
-                    return net;
-                }
-            }
-            self.cold_network(key)
-        })
+                )
+            },
+            || self.cold_network(key),
+        )
     }
 
     /// Builds the network for `key` from scratch, bypassing both cache
@@ -387,23 +405,21 @@ impl ArtifactCache {
     /// The advice vector for `key`, resolved through the tiers: in-process
     /// Arc → persistent store (when configured) → `build`.
     ///
-    /// The caller is responsible for `build` matching `key.scheme` — the
-    /// typed wrappers in the crate root keep that association mechanical
-    /// (or use [`build_advice`] to dispatch on the `SchemeId` directly).
+    /// The caller is responsible for `build` matching `key.scheme`;
+    /// [`build_advice`] dispatches on the `SchemeId` directly.
     pub fn advice(&self, key: AdviceKey, build: impl FnOnce() -> Vec<BitStr>) -> Arc<Vec<BitStr>> {
-        self.advice.get_or_build(&key, || {
-            if let Some(store) = &self.store {
-                if let Some(advice) = store.load(
+        self.advice.get_or_build(
+            &key,
+            || {
+                self.store.as_ref()?.load(
                     &key.store_file_name(),
                     persist::kind::ADVICE,
                     &key.store_key(),
                     persist::decode_advice,
-                ) {
-                    return advice;
-                }
-            }
-            build()
-        })
+                )
+            },
+            build,
+        )
     }
 
     /// Snapshot of how many artifacts of each kind were actually built.
@@ -599,8 +615,8 @@ pub fn global() -> &'static ArtifactCache {
 }
 
 /// Runs the advising scheme identified by `id` on `net` — the canonical
-/// `SchemeId → AdvisingScheme` dispatch, shared by `wakeup bake` and the
-/// measurement wrappers so baked advice provably comes from the same oracle
+/// `SchemeId → AdvisingScheme` dispatch, shared by `wakeup bake` and
+/// [`crate::run_cell`] so baked advice provably comes from the same oracle
 /// as cold advice.
 pub fn build_advice(id: SchemeId, net: &Network) -> Vec<BitStr> {
     use wakeup_core::advice::{
@@ -619,6 +635,7 @@ pub fn build_advice(id: SchemeId, net: &Network) -> Vec<BitStr> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use wakeup_graph::generators;
 
     #[test]
     fn graph_and_network_are_memoized() {
@@ -708,8 +725,9 @@ mod tests {
         assert_eq!(counts.hits, 1, "network must come from disk");
         assert_eq!(counts.errors, 0);
         assert!(counts.bytes_loaded >= outcome.bytes);
-        // Cold build of the *graph* must not have happened on the loader.
+        // No cold build of the graph or the network on the loader.
         assert_eq!(loader.build_counts().graphs, 0);
+        assert_eq!(loader.build_counts().networks, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

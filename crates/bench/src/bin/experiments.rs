@@ -5,9 +5,13 @@
 //! ```text
 //! cargo run --release -p wakeup-bench --bin experiments
 //! ```
+//!
+//! The Table 1 sections sweep the `scenarios/table1/` corpus rows: each
+//! cell is a row's spec resized to one of its `report.sizes` and measured
+//! by [`wakeup_bench::run_cell`], exactly as `table1` measures it.
 
 use wakeup_bench::stats::message_exponent;
-use wakeup_bench::{measure_spec, par_sweep, sweep_points, RowPoint};
+use wakeup_bench::{artifacts, par_sweep, run_cell, RowPoint};
 use wakeup_core::advice::{run_scheme, CenScheme};
 use wakeup_core::dfs_congest::DfsCongest;
 use wakeup_core::dfs_rank::{DfsIdRank, DfsRank};
@@ -51,15 +55,15 @@ fn print_sweep(title: &str, claim: &str, points: &[RowPoint]) {
 }
 
 /// Prints one Table 1 row sweep from its corpus spec: the `report` block
-/// carries the section title, the paper claim, and the sweep sizes, and
-/// [`measure_spec`] dispatches to the same measurement the hardcoded rows
-/// used — the printed bytes are unchanged.
+/// carries the section title, the paper claim, and the sweep sizes.
 fn print_spec_sweep(spec: &wakeup_scenario::ScenarioSpec) {
     let report = spec.report.as_ref().expect("table1 specs carry reports");
     print_sweep(
         &report.experiments_title,
         &report.experiments_claim,
-        &sweep_points(&report.sizes, |n| measure_spec(spec, n)),
+        &par_sweep(&report.sizes, |&n| {
+            run_cell(artifacts::global(), &spec.at_size(n))
+        }),
     );
 }
 
@@ -235,7 +239,8 @@ fn main() {
     println!("|---|---|---|---|---|");
     {
         let n = 256usize;
-        let g = wakeup_bench::sparse_graph(n, 7);
+        let g =
+            wakeup_scenario::run::build_graph(&wakeup_scenario::GraphSpec::Sparse { n, seed: 7 });
         let net = Network::kt0(g, 7);
         let schedule = WakeSchedule::single(NodeId::new(0));
         let ks = [1usize, 2, 3, 4, 6, 8];

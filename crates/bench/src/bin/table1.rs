@@ -7,10 +7,10 @@
 //!
 //! The rows come from the checked-in scenario corpus: every file under
 //! `scenarios/table1/` is one row, its `report` block carrying the printed
-//! label, the paper's claimed bounds, and the n-sweep sizes, while the
-//! spec's protocol and seed select the measurement via
-//! [`wakeup_bench::measure_spec`]. The printed bytes are identical to the
-//! formerly hardcoded row set.
+//! label, the paper's claimed bounds, and the n-sweep sizes. Each cell is
+//! the row's spec resized to one sweep size, measured by
+//! [`wakeup_bench::run_cell`] — so the spec's graph, protocol, wake
+//! schedule, delays and engine block are what runs.
 //!
 //! Each row reports, for the largest sweep size, the measured time, message
 //! count, and advice lengths, next to the paper's claimed bounds; the ratio
@@ -25,13 +25,12 @@
 //! per cell labeled `row`/`n` — equally byte-deterministic (CI diffs it
 //! across thread counts).
 //!
-//! `--shards <K>` runs every cell's engines with K intra-run shards (it
-//! sets `WAKEUP_SHARDS`, which the measurement harness reads). Sharded
-//! execution is byte-identical to serial, so the printed table and the
-//! `--obs-json` bytes must not change — CI diffs 1 vs 4 shards exactly as
-//! it diffs 1 vs 4 sweep threads.
+//! `--shards <K>` sets every cell's `engine.shards` to K intra-run shards.
+//! Sharded execution is byte-identical to serial, so the printed table and
+//! the `--obs-json` bytes must not change — CI diffs 1 vs 4 shards exactly
+//! as it diffs 1 vs 4 sweep threads.
 
-use wakeup_bench::{measure_spec, par_sweep};
+use wakeup_bench::{artifacts, par_sweep, run_cell};
 use wakeup_scenario::{corpus, ScenarioSpec};
 
 struct Row {
@@ -44,6 +43,7 @@ struct Row {
 fn main() {
     let mut obs_json: Option<String> = None;
     let mut obs_prom: Option<String> = None;
+    let mut shards: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -54,15 +54,8 @@ fn main() {
                 obs_prom = Some(args.next().expect("--obs-prom needs a path"));
             }
             "--shards" => {
-                let k: usize = args
-                    .next()
-                    .expect("--shards needs a count")
-                    .parse()
-                    .expect("--shards needs an integer");
-                assert!(k >= 1, "--shards must be at least 1");
-                // The measure_* harness reads WAKEUP_SHARDS per run; the
-                // flag is just a spelled-out way to set it for this process.
-                std::env::set_var("WAKEUP_SHARDS", k.to_string());
+                let k = args.next().expect("--shards needs a count");
+                shards = Some(k.parse().expect("--shards needs an integer"));
             }
             other => panic!("unknown flag {other:?}"),
         }
@@ -71,7 +64,10 @@ fn main() {
     let rows: Vec<Row> = corpus::table1()
         .expect("load scenarios/table1 corpus")
         .into_iter()
-        .map(|(_, spec)| {
+        .map(|(_, mut spec)| {
+            if let Some(k) = shards {
+                spec.engine.shards = k;
+            }
             let report = spec.report.clone().expect("table1 specs carry reports");
             Row {
                 label: report.label,
@@ -90,7 +86,9 @@ fn main() {
         .enumerate()
         .flat_map(|(i, row)| row.sizes.iter().map(move |&n| (i, n)))
         .collect();
-    let points = par_sweep(&cells, |&(i, n)| measure_spec(&rows[i].spec, n));
+    let points = par_sweep(&cells, |&(i, n)| {
+        run_cell(artifacts::global(), &rows[i].spec.at_size(n))
+    });
 
     println!("# Measured Table 1 (sparse G(n,p), avg degree ≈ 8; seeds fixed)\n");
     println!(

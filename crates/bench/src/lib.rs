@@ -1,31 +1,23 @@
-//! Shared workload builders and measurement helpers for the benchmark
-//! harness (`benches/`) and the report binaries (`src/bin/table1.rs`,
-//! `src/bin/experiments.rs`).
+//! Table 1 measurement for the report binaries (`src/bin/table1.rs`,
+//! `src/bin/experiments.rs`) and the criterion benches (`benches/`).
 //!
-//! Every Table 1 row gets a `measure_*` function returning a [`RowPoint`]
-//! with the paper's three complexity measures; the criterion benches time
-//! the same closures, and the binaries print the measured scaling tables for
-//! EXPERIMENTS.md.
+//! A Table 1 cell is a scenario spec: one `scenarios/table1/` row resized
+//! to a sweep size with [`ScenarioSpec::at_size`]. [`run_cell`] measures
+//! it through the scenario runner, with the network and oracle advice
+//! drawn from an [`artifacts::ArtifactCache`], and returns a [`RowPoint`]
+//! with the paper's three complexity measures. [`par_sweep`] runs a batch
+//! of cells on a thread pool with output in input order.
 
 pub mod artifacts;
 pub mod stats;
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use artifacts::{AdviceKey, GraphFamily, NetworkKey, SchemeId};
-use wakeup_core::advice::{
-    run_scheme_with_advice, AdvisingScheme, BfsTreeScheme, CenScheme, SpannerScheme,
-    ThresholdScheme,
-};
-use wakeup_core::dfs_rank::DfsRank;
-use wakeup_core::fast_wakeup::FastWakeUp;
-use wakeup_core::flooding::FloodAsync;
-use wakeup_core::harness;
-use wakeup_graph::{generators, Graph, NodeId};
-use wakeup_sim::adversary::WakeSchedule;
-use wakeup_sim::{KnowledgeMode, ObsSnapshot, TICKS_PER_UNIT};
+use artifacts::{build_advice, AdviceKey, ArtifactCache, GraphFamily, NetworkKey, SchemeId};
+use wakeup_scenario::{run, ScenarioSpec};
+use wakeup_sim::{ObsSnapshot, TICKS_PER_UNIT};
 
 /// One measured point of a Table 1 row.
 #[derive(Debug, Clone)]
@@ -56,210 +48,59 @@ impl RowPoint {
     }
 }
 
-/// The standard sparse connected workload (average degree ≈ 8).
-pub fn sparse_graph(n: usize, seed: u64) -> Graph {
-    generators::erdos_renyi_connected(n, 8.0 / n as f64, seed).expect("valid size")
-}
-
-fn ln(n: usize) -> f64 {
-    (n as f64).ln()
-}
-
-fn log2(n: usize) -> f64 {
-    (n as f64).log2()
-}
-
-/// Baseline row: flooding (Θ(m) messages, ρ_awk time).
-pub fn measure_flooding(n: usize, seed: u64) -> RowPoint {
-    let net = artifacts::global().network(NetworkKey {
-        family: GraphFamily::Sparse,
-        n,
-        seed,
-        mode: KnowledgeMode::Kt0,
-    });
-    let m = net.graph().m() as f64;
-    let run = harness::run_async::<FloodAsync>(&net, &WakeSchedule::single(NodeId::new(0)), seed);
-    assert!(run.report.all_awake);
-    RowPoint {
-        n,
-        messages: run.report.messages(),
-        time: run.report.time_units(),
-        advice_max_bits: 0,
-        advice_avg_bits: 0.0,
-        shape: 2.0 * m,
-        snapshot: run.report.obs_snapshot(),
-    }
-}
-
-/// Table 1 row "Theorem 3": DFS-rank under the staggered adversary.
+/// Measures one Table 1 cell: runs `spec` through the scenario runner and
+/// reads off the row's measures.
 ///
-/// The 2-unit gap keeps tokens overlapping — each adversary wake lands while
-/// earlier tokens are still traversing, the regime the Theorem 3 analysis is
-/// about. (A gap above ~2n lets the first token finish, making the rest of
-/// the schedule a no-op.)
-pub fn measure_thm3(n: usize, seed: u64) -> RowPoint {
-    let net = artifacts::global().network(NetworkKey {
-        family: GraphFamily::Sparse,
-        n,
-        seed,
-        mode: KnowledgeMode::Kt1,
-    });
-    let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let schedule = WakeSchedule::staggered(&all, 2.0);
-    let run = harness::run_async::<DfsRank>(&net, &schedule, seed);
-    assert!(run.report.all_awake);
-    RowPoint {
-        n,
-        messages: run.report.messages(),
-        time: run.report.time_units(),
-        advice_max_bits: 0,
-        advice_avg_bits: 0.0,
-        shape: n as f64 * ln(n),
-        snapshot: run.report.obs_snapshot(),
-    }
-}
-
-/// Table 1 row "Theorem 4": FastWakeUp on the dense all-awake workload.
-pub fn measure_thm4(n: usize, seed: u64) -> RowPoint {
-    let net = artifacts::global().network(NetworkKey {
-        family: GraphFamily::Complete,
-        n,
-        seed,
-        mode: KnowledgeMode::Kt1,
-    });
-    let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let run = harness::run_sync::<FastWakeUp>(&net, &WakeSchedule::all_at_zero(&all), seed);
-    assert!(run.report.all_awake);
-    RowPoint {
-        n,
-        messages: run.report.messages(),
-        time: (run.report.metrics.all_awake_tick.unwrap_or(0) / TICKS_PER_UNIT) as f64,
-        advice_max_bits: 0,
-        advice_avg_bits: 0.0,
-        shape: (n as f64).powf(1.5) * ln(n).sqrt(),
-        snapshot: run.report.obs_snapshot(),
-    }
-}
-
-/// Measures one advising-scheme row with all setup artifacts (graph,
-/// network, oracle advice) coming from the global cache: the first caller
-/// for a given `(n, seed, scheme)` runs the oracle, every later trial —
-/// criterion iterations, other sweep workers — replays the cached advice.
-/// Caching only skips *preprocessing* the oracle performs anyway; the
-/// measured protocol run is untouched (see "setup vs. run accounting" in
-/// docs/MODEL.md).
-fn measure_scheme<S: AdvisingScheme>(
-    scheme: &S,
-    id: SchemeId,
-    n: usize,
-    seed: u64,
-    shape: f64,
-) -> RowPoint {
-    let cache = artifacts::global();
-    let net = cache.network(NetworkKey {
-        family: GraphFamily::Sparse,
-        n,
-        seed,
-        mode: KnowledgeMode::Kt0,
-    });
-    let advice = cache.advice(
-        AdviceKey {
-            net: NetworkKey {
-                family: GraphFamily::Sparse,
-                n,
-                seed,
-                mode: KnowledgeMode::Kt0,
-            },
-            scheme: id,
-        },
-        || scheme.advise(&net),
-    );
-    let run = run_scheme_with_advice(
-        scheme,
-        &net,
-        advice,
-        &WakeSchedule::single(NodeId::new(0)),
-        seed,
-    );
-    assert!(run.report.all_awake);
-    assert_eq!(run.report.metrics.congest_violations, 0);
-    RowPoint {
-        n,
-        messages: run.report.messages(),
-        time: run.report.time_units(),
-        advice_max_bits: run.advice.max_bits,
-        advice_avg_bits: run.advice.avg_bits,
-        shape,
-        snapshot: run.report.obs_snapshot(),
-    }
-}
-
-/// Table 1 row "\[FIP06\], Cor. 1".
-pub fn measure_cor1(n: usize, seed: u64) -> RowPoint {
-    measure_scheme(&BfsTreeScheme::new(), SchemeId::BfsTree, n, seed, n as f64)
-}
-
-/// Table 1 row "Theorem 5(A)".
-pub fn measure_thm5a(n: usize, seed: u64) -> RowPoint {
-    measure_scheme(
-        &ThresholdScheme::new(),
-        SchemeId::Threshold,
-        n,
-        seed,
-        (n as f64).powf(1.5),
-    )
-}
-
-/// Table 1 row "Theorem 5(B)".
-pub fn measure_thm5b(n: usize, seed: u64) -> RowPoint {
-    measure_scheme(&CenScheme::new(), SchemeId::Cen, n, seed, n as f64)
-}
-
-/// Table 1 row "Theorem 6" at a given `k`.
-pub fn measure_thm6(n: usize, k: usize, seed: u64) -> RowPoint {
-    let shape = k as f64 * (n as f64).powf(1.0 + 1.0 / k as f64) * ln(n);
-    measure_scheme(&SpannerScheme::new(k), SchemeId::Spanner(k), n, seed, shape)
-}
-
-/// Table 1 row "Corollary 2" (`k = ⌈log₂ n⌉`).
-pub fn measure_cor2(n: usize, seed: u64) -> RowPoint {
-    let shape = n as f64 * log2(n) * log2(n);
-    measure_scheme(
-        &SpannerScheme::log_instantiation(n),
-        SchemeId::SpannerLog,
-        n,
-        seed,
-        shape,
-    )
-}
-
-/// Measures one Table 1 row described by a scenario spec at sweep size `n`.
+/// The network and, for advising schemes, the oracle advice come from
+/// `cache` under the keys [`spec_artifact_keys`] derives, so a sweep pays
+/// for each artifact once and a baked store serves it from disk. Caching
+/// skips only preprocessing the oracle would redo identically; the
+/// measured run is untouched (see "Setup vs. run accounting" in
+/// docs/MODEL.md). Families without a store encoding, and `sparse` specs
+/// whose graph seed differs from the engine seed, build their network
+/// with [`run::build_network`] instead.
 ///
-/// The spec is a *row template*: its protocol and engine seed select the
-/// measurement (`measure_flooding`, `measure_thm3`, …) while the requested
-/// sweep size replaces the template graph's own `n` — exactly how the
-/// `table1` and `experiments` binaries drive their `report.sizes` sweeps.
-/// Dispatching onto the same `measure_*` functions the binaries used to
-/// call directly keeps corpus-driven output byte-identical to the
-/// hardcoded rows.
+/// Time is τ units for async protocols and rounds until every node is
+/// awake for sync ones; the shape is
+/// [`wakeup_scenario::ProtocolSpec::table1_shape`].
 ///
 /// # Panics
 ///
-/// Panics if the spec's protocol has no Table 1 measurement row (`nih`,
-/// `gossip`).
-pub fn measure_spec(spec: &wakeup_scenario::ScenarioSpec, n: usize) -> RowPoint {
-    use wakeup_scenario::ProtocolSpec;
-    let seed = spec.engine.seed;
-    match spec.protocol {
-        ProtocolSpec::Flooding => measure_flooding(n, seed),
-        ProtocolSpec::DfsRank => measure_thm3(n, seed),
-        ProtocolSpec::FastWakeUp => measure_thm4(n, seed),
-        ProtocolSpec::Cor1 => measure_cor1(n, seed),
-        ProtocolSpec::Thm5a => measure_thm5a(n, seed),
-        ProtocolSpec::Thm5b => measure_thm5b(n, seed),
-        ProtocolSpec::Thm6 { k } => measure_thm6(n, k, seed),
-        ProtocolSpec::Cor2 => measure_cor2(n, seed),
-        other => panic!("protocol {other:?} has no Table 1 measurement row"),
+/// Panics if the spec is invalid, its protocol has no Table 1 row
+/// (`nih`, `gossip`), a node stays asleep, or a CONGEST budget is broken.
+pub fn run_cell(cache: &ArtifactCache, spec: &ScenarioSpec) -> RowPoint {
+    if let Err(e) = spec.validate() {
+        panic!("{}: {e}", spec.name);
+    }
+    let (net, advice) = match spec_artifact_keys(spec) {
+        Ok((net_key, advice_key)) => {
+            let net = cache.network(net_key);
+            let advice = advice_key.map(|key| cache.advice(key, || build_advice(key.scheme, &net)));
+            (net, advice)
+        }
+        Err(_) => (Arc::new(run::build_network(spec)), None),
+    };
+    let run = run::run_spec_advised(spec, &net, advice);
+    let report = &run.report;
+    assert!(report.all_awake, "{}: not every node woke", spec.name);
+    assert_eq!(report.metrics.congest_violations, 0, "{}", spec.name);
+    let time = if spec.protocol.is_sync() {
+        (report.metrics.all_awake_tick.unwrap_or(0) / TICKS_PER_UNIT) as f64
+    } else {
+        report.time_units()
+    };
+    let shape = spec
+        .protocol
+        .table1_shape(net.n(), net.graph().m())
+        .unwrap_or_else(|| panic!("protocol {:?} has no Table 1 row", spec.protocol));
+    RowPoint {
+        n: net.n(),
+        messages: report.messages(),
+        time,
+        advice_max_bits: run.advice.as_ref().map_or(0, |a| a.max_bits),
+        advice_avg_bits: run.advice.as_ref().map_or(0.0, |a| a.avg_bits),
+        shape,
+        snapshot: report.obs_snapshot(),
     }
 }
 
@@ -267,14 +108,12 @@ pub fn measure_spec(spec: &wakeup_scenario::ScenarioSpec, n: usize) -> RowPoint 
 /// touches: the network key, plus the advice key for advising schemes.
 ///
 /// This is the *single* spec-to-key derivation — `wakeup bake --scenario`
-/// bakes exactly these keys, and the measurement path above loads the same
-/// ones through the global cache (key-equality is unit-tested). Only the
-/// `sparse` and `complete` families have store encodings; for `sparse` the
-/// graph seed must equal the engine seed, because a [`NetworkKey`] carries
-/// one seed for both the generator and the port/ID assignment.
-pub fn spec_artifact_keys(
-    spec: &wakeup_scenario::ScenarioSpec,
-) -> Result<(NetworkKey, Option<AdviceKey>), String> {
+/// bakes exactly these keys, and [`run_cell`] loads the same ones through
+/// its cache (key-equality is unit-tested). Only the `sparse` and
+/// `complete` families have store encodings; for `sparse` the graph seed
+/// must equal the engine seed, because a [`NetworkKey`] carries one seed
+/// for both the generator and the port/ID assignment.
+pub fn spec_artifact_keys(spec: &ScenarioSpec) -> Result<(NetworkKey, Option<AdviceKey>), String> {
     use wakeup_scenario::{GraphSpec, ProtocolSpec};
     let (family, n) = match spec.graph {
         GraphSpec::Sparse { n, seed } => {
@@ -459,76 +298,127 @@ where
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Measures one `RowPoint` sweep in parallel: `f(n)` for each size, results
-/// in input order.
-pub fn sweep_points(sizes: &[usize], f: impl Fn(usize) -> RowPoint + Sync) -> Vec<RowPoint> {
-    par_sweep(sizes, |&n| f(n))
-}
-
-/// The standard n-sweep used by the report binaries.
-pub const SWEEP: [usize; 4] = [64, 128, 256, 512];
-
-/// A smaller sweep for the quadratic-cost lower-bound experiments.
-pub const LB_SWEEP: [usize; 3] = [24, 48, 96];
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use wakeup_scenario::{corpus, GraphSpec, ProtocolSpec};
+
+    fn table1_row(protocol: ProtocolSpec) -> ScenarioSpec {
+        corpus::table1()
+            .expect("load scenarios/table1 corpus")
+            .into_iter()
+            .map(|(_, spec)| spec)
+            .find(|spec| spec.protocol == protocol)
+            .expect("every Table 1 protocol has a corpus row")
+    }
+
+    /// Asserts two points are equal bit for bit, obs JSON included.
+    fn assert_same_point(a: &RowPoint, b: &RowPoint) {
+        assert_eq!(a.n, b.n);
+        assert_eq!(a.messages, b.messages);
+        assert_eq!(a.time.to_bits(), b.time.to_bits());
+        assert_eq!(a.advice_max_bits, b.advice_max_bits);
+        assert_eq!(a.advice_avg_bits.to_bits(), b.advice_avg_bits.to_bits());
+        assert_eq!(a.shape.to_bits(), b.shape.to_bits());
+        // CI diffs these exact bytes across thread counts, shard counts
+        // and store tiers.
+        assert_eq!(a.snapshot.to_json(), b.snapshot.to_json());
+    }
+
     #[test]
     fn all_rows_measure_cleanly_at_small_n() {
-        let n = 48;
-        for point in [
-            measure_flooding(n, 1),
-            measure_thm3(n, 1),
-            measure_cor1(n, 1),
-            measure_thm5a(n, 1),
-            measure_thm5b(n, 1),
-            measure_thm6(n, 2, 1),
-            measure_cor2(n, 1),
-        ] {
+        let cache = ArtifactCache::new();
+        for (_, row) in corpus::table1().unwrap() {
+            let n = if row.protocol.is_sync() { 32 } else { 48 };
+            let point = run_cell(&cache, &row.at_size(n));
+            assert_eq!(point.n, n);
             assert!(point.messages > 0);
             assert!(point.ratio().is_finite());
             // The causal critical path is a lower bound witness for the
-            // measured wake-up time on every async row.
+            // measured wake-up time.
             assert!(
                 point.snapshot.crit_tau <= point.time + 1e-9,
-                "crit_tau {} exceeds measured time {}",
+                "{}: crit_tau {} exceeds measured time {}",
+                row.name,
                 point.snapshot.crit_tau,
                 point.time
             );
+            if row.protocol == ProtocolSpec::FastWakeUp {
+                // Every node is adversary-woken at round 0, so no wake is
+                // caused by a message and the causal forest is all roots.
+                assert_eq!(point.snapshot.crit_hops, 0);
+                assert_eq!(point.snapshot.messages, point.messages);
+            }
         }
-        let p4 = measure_thm4(32, 1);
-        assert!(p4.messages > 0);
-        // Every node is adversary-woken at round 0, so no wake is caused by
-        // a message and the causal forest is all roots.
-        assert_eq!(p4.snapshot.crit_hops, 0);
-        assert_eq!(p4.snapshot.messages, p4.messages);
     }
 
     /// A cache hit must be indistinguishable from a cold build: the cached
-    /// measurement path (shared network + replayed oracle advice) has to
-    /// reproduce the from-scratch `run_scheme` numbers bit-for-bit.
+    /// cell (shared network + replayed oracle advice) has to reproduce the
+    /// from-scratch `run_scheme` numbers bit-for-bit.
     #[test]
     fn cached_scheme_measure_matches_cold_run() {
         let (n, seed) = (48usize, 7u64);
+        let spec = table1_row(ProtocolSpec::Thm5b).at_size(n);
+        assert_eq!(spec.graph, GraphSpec::Sparse { n, seed });
         // Cold: build everything from scratch, advise inline.
-        let cold_net = wakeup_sim::Network::kt0(sparse_graph(n, seed), seed);
+        let cold_net = wakeup_sim::Network::kt0(run::build_graph(&spec.graph), seed);
         let cold = wakeup_core::advice::run_scheme(
-            &CenScheme::new(),
+            &wakeup_core::advice::CenScheme::new(),
             &cold_net,
-            &WakeSchedule::single(NodeId::new(0)),
+            &run::build_schedule(&spec),
             seed,
         );
         // Cached: twice, so the second call replays memoized artifacts.
-        let a = measure_thm5b(n, seed);
-        let b = measure_thm5b(n, seed);
+        let cache = ArtifactCache::new();
+        let a = run_cell(&cache, &spec);
+        let b = run_cell(&cache, &spec);
+        assert_eq!(cache.build_counts().advice, 1, "second cell replays advice");
         for p in [&a, &b] {
             assert_eq!(p.messages, cold.report.messages());
             assert_eq!(p.time.to_bits(), cold.report.time_units().to_bits());
             assert_eq!(p.advice_max_bits, cold.advice.max_bits);
             assert_eq!(p.advice_avg_bits.to_bits(), cold.advice.avg_bits.to_bits());
         }
+        assert_same_point(&a, &b);
+    }
+
+    /// The store tier really serves Table 1: cells run on a cache backed by
+    /// a baked store load their network and advice from disk, never run
+    /// the oracle, and equal the cold cell bit for bit.
+    #[test]
+    fn baked_store_serves_table1_cells() {
+        let dir = std::env::temp_dir().join("wakeup-bench-test-baked-cells");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let cells = [ProtocolSpec::Cor2, ProtocolSpec::FastWakeUp]
+            .map(|protocol| table1_row(protocol).at_size(64));
+        let baker = ArtifactCache::with_store(&dir);
+        for cell in &cells {
+            let (net_key, advice_key) = spec_artifact_keys(cell).unwrap();
+            baker.bake_network(net_key).unwrap();
+            if let Some(key) = advice_key {
+                let net = baker.network(key.net);
+                baker
+                    .bake_advice(key, || build_advice(key.scheme, &net))
+                    .unwrap();
+            }
+        }
+        let cold = ArtifactCache::new();
+        let baked = ArtifactCache::with_store(&dir);
+        for cell in &cells {
+            assert_same_point(&run_cell(&cold, cell), &run_cell(&baked, cell));
+        }
+        let counts = baked.store_counts();
+        assert_eq!(counts.hits, 3, "two networks and one advice vector");
+        assert_eq!((counts.misses, counts.errors), (0, 0));
+        let builds = baked.build_counts();
+        assert_eq!(
+            (builds.graphs, builds.networks, builds.advice),
+            (0, 0, 0),
+            "no cold build and no oracle run"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The sweep harness must be a pure reordering of work: identical
@@ -537,20 +427,15 @@ mod tests {
     #[test]
     fn par_sweep_matches_sequential_bit_for_bit() {
         let sizes = [24usize, 32, 48, 64];
-        let seq = par_sweep_with(1, &sizes, |&n| measure_flooding(n, 1));
+        let flooding = table1_row(ProtocolSpec::Flooding);
+        let cache = ArtifactCache::new();
+        let cell = |&n: &usize| run_cell(&cache, &flooding.at_size(n));
+        let seq = par_sweep_with(1, &sizes, cell);
         for threads in [2, 3, 16] {
-            let par = par_sweep_with(threads, &sizes, |&n| measure_flooding(n, 1));
+            let par = par_sweep_with(threads, &sizes, cell);
             assert_eq!(par.len(), seq.len());
             for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.n, b.n);
-                assert_eq!(a.messages, b.messages);
-                assert_eq!(a.time.to_bits(), b.time.to_bits());
-                assert_eq!(a.advice_max_bits, b.advice_max_bits);
-                assert_eq!(a.advice_avg_bits.to_bits(), b.advice_avg_bits.to_bits());
-                assert_eq!(a.shape.to_bits(), b.shape.to_bits());
-                // The observability export must be byte-deterministic too —
-                // CI diffs these exact bytes across WAKEUP_THREADS settings.
-                assert_eq!(a.snapshot.to_json(), b.snapshot.to_json());
+                assert_same_point(a, b);
             }
         }
     }

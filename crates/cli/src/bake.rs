@@ -10,16 +10,16 @@
 //! harness touches — `Sparse/KT0`, `Sparse/KT1`, `Complete/KT1` — plus the
 //! advice bitstrings of the Table 1 oracle schemes (BFS tree, threshold,
 //! CEN, spanner `k ∈ {2, 3}`, spanner `k = ⌈log₂ n⌉`), all computed on
-//! the Sparse/KT0 network exactly as `wakeup_bench::measure_scheme` does.
+//! the Sparse/KT0 network exactly as `wakeup_bench::run_cell` does.
 //! Baking is idempotent: a checksum-clean file for the same key is left
 //! untouched, so re-running `bake` after a format or parameter change
 //! rewrites only the stale artifacts.
 //!
 //! `--scenario FILE` bakes exactly the artifacts one scenario spec needs —
 //! its network and, for advice-scheme protocols, its oracle advice — using
-//! the same key derivation ([`wakeup_bench::spec_artifact_keys`]) the
-//! measurement harness resolves at run time, so a baked store is hit (never
-//! silently missed) by the spec that requested it.
+//! the same key derivation ([`wakeup_bench::spec_artifact_keys`])
+//! [`wakeup_bench::run_cell`] resolves at run time, so a baked store is hit
+//! (never silently missed) by the spec that requested it.
 //!
 //! `--verify` additionally re-reads every baked file and compares it
 //! byte-for-byte (header, section table, checksums, payloads) against a
@@ -209,7 +209,7 @@ pub fn cmd_bake(
 /// Bakes exactly the artifacts one scenario spec resolves to at run time:
 /// its network key and (for advice-scheme protocols) its advice key, both
 /// derived by [`wakeup_bench::spec_artifact_keys`] — the same derivation
-/// the measurement harness uses, so bake-time and run-time keys cannot
+/// [`wakeup_bench::run_cell`] uses, so bake-time and run-time keys cannot
 /// drift apart.
 fn bake_scenario(
     cache: &ArtifactCache,

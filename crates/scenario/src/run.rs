@@ -1,10 +1,12 @@
 //! The generic spec runner: build the graph, network, schedule, and delay
 //! strategy a [`ScenarioSpec`] describes, dispatch on the protocol, and run.
 //!
-//! The construction mirrors the benchmark harness exactly — same
-//! generators, same network seeding, same engine configuration — so a
-//! corpus spec runs to the same [`wakeup_sim::RunDigest`] as the hardcoded
-//! workload it replaced (the `scenarios` integration tests pin this).
+//! This is the one path a Table 1 cell runs through: the report binaries
+//! and benches measure each cell with `wakeup_bench::run_cell`, which
+//! supplies a cached network and cached oracle advice to
+//! [`run_spec_advised`]. The `scenarios` integration tests pin every
+//! corpus row to the same [`wakeup_sim::RunDigest`] as the
+//! `wakeup_core::harness` entry points.
 
 use std::sync::Arc;
 
@@ -153,12 +155,24 @@ pub fn dispatch_async<V: AsyncDispatch>(
     net: &Network,
     visitor: V,
 ) -> Option<(V::Out, Option<AdviceStats>)> {
+    dispatch_async_advised(spec, net, None, visitor)
+}
+
+/// [`dispatch_async`] with an advising scheme's oracle advice supplied by
+/// the caller; `None` runs the scheme's oracle on `net`.
+fn dispatch_async_advised<V: AsyncDispatch>(
+    spec: &ScenarioSpec,
+    net: &Network,
+    advice: Option<Arc<Vec<BitStr>>>,
+    visitor: V,
+) -> Option<(V::Out, Option<AdviceStats>)> {
     fn scheme<V: AsyncDispatch, S: AdvisingScheme>(
         scheme: &S,
         net: &Network,
+        advice: Option<Arc<Vec<BitStr>>>,
         visitor: V,
     ) -> Option<(V::Out, Option<AdviceStats>)> {
-        let advice = Arc::new(scheme.advise(net));
+        let advice = advice.unwrap_or_else(|| Arc::new(scheme.advise(net)));
         let stats = AdviceStats::measure(&advice);
         let channel = scheme.channel(net.n());
         Some((
@@ -171,11 +185,16 @@ pub fn dispatch_async<V: AsyncDispatch>(
         ProtocolSpec::Flooding => plain(visitor.call::<FloodAsync>(net, ChannelModel::Local, None)),
         ProtocolSpec::DfsRank => plain(visitor.call::<DfsRank>(net, ChannelModel::Local, None)),
         ProtocolSpec::Nih => plain(visitor.call::<Nih<FloodAsync>>(net, ChannelModel::Local, None)),
-        ProtocolSpec::Cor1 => scheme(&BfsTreeScheme::new(), net, visitor),
-        ProtocolSpec::Thm5a => scheme(&ThresholdScheme::new(), net, visitor),
-        ProtocolSpec::Thm5b => scheme(&CenScheme::new(), net, visitor),
-        ProtocolSpec::Thm6 { k } => scheme(&SpannerScheme::new(k), net, visitor),
-        ProtocolSpec::Cor2 => scheme(&SpannerScheme::log_instantiation(net.n()), net, visitor),
+        ProtocolSpec::Cor1 => scheme(&BfsTreeScheme::new(), net, advice, visitor),
+        ProtocolSpec::Thm5a => scheme(&ThresholdScheme::new(), net, advice, visitor),
+        ProtocolSpec::Thm5b => scheme(&CenScheme::new(), net, advice, visitor),
+        ProtocolSpec::Thm6 { k } => scheme(&SpannerScheme::new(k), net, advice, visitor),
+        ProtocolSpec::Cor2 => scheme(
+            &SpannerScheme::log_instantiation(net.n()),
+            net,
+            advice,
+            visitor,
+        ),
         ProtocolSpec::FastWakeUp | ProtocolSpec::Gossip => None,
     }
 }
@@ -276,6 +295,26 @@ pub fn run_spec(spec: &ScenarioSpec) -> SpecRun {
 /// As [`run_spec`], with a caller-provided network (so repeated runs —
 /// conformance checks, trials — reuse one table build).
 pub fn run_spec_on(spec: &ScenarioSpec, net: &Network) -> SpecRun {
+    run_spec_advised(spec, net, None)
+}
+
+/// As [`run_spec_on`], with an advising scheme's oracle advice supplied by
+/// the caller — a cached or baked copy of what the scheme's oracle computes
+/// on `net`. `None` runs the oracle.
+///
+/// # Panics
+///
+/// Panics if advice is supplied for a protocol that takes none.
+pub fn run_spec_advised(
+    spec: &ScenarioSpec,
+    net: &Network,
+    advice: Option<Arc<Vec<BitStr>>>,
+) -> SpecRun {
+    assert!(
+        advice.is_none() || spec.protocol.is_scheme(),
+        "protocol {:?} takes no advice",
+        spec.protocol
+    );
     let schedule = build_schedule(spec);
     let visitor = PlainRun {
         spec,
@@ -288,7 +327,8 @@ pub fn run_spec_on(spec: &ScenarioSpec, net: &Network) -> SpecRun {
             advice: None,
         }
     } else {
-        let (report, advice) = dispatch_async(spec, net, visitor).expect("async protocol");
+        let (report, advice) =
+            dispatch_async_advised(spec, net, advice, visitor).expect("async protocol");
         SpecRun { report, advice }
     }
 }

@@ -286,6 +286,24 @@ impl ProtocolSpec {
             ProtocolSpec::Cor2 => "cor2",
         }
     }
+
+    /// The message-count shape this protocol's Table 1 row claims, at `n`
+    /// nodes and `m` edges. The report binaries print measured messages
+    /// over this shape; a flat ratio across an n-sweep confirms the
+    /// asymptotics. `None` for protocols without a Table 1 row.
+    pub fn table1_shape(&self, n: usize, m: usize) -> Option<f64> {
+        let n = n as f64;
+        Some(match *self {
+            ProtocolSpec::Flooding => 2.0 * m as f64,
+            ProtocolSpec::DfsRank => n * n.ln(),
+            ProtocolSpec::FastWakeUp => n.powf(1.5) * n.ln().sqrt(),
+            ProtocolSpec::Cor1 | ProtocolSpec::Thm5b => n,
+            ProtocolSpec::Thm5a => n.powf(1.5),
+            ProtocolSpec::Thm6 { k } => k as f64 * n.powf(1.0 + 1.0 / k as f64) * n.ln(),
+            ProtocolSpec::Cor2 => n * n.log2() * n.log2(),
+            ProtocolSpec::Gossip | ProtocolSpec::Nih => return None,
+        })
+    }
 }
 
 /// The adversary's wake schedule.
@@ -521,6 +539,26 @@ impl ScenarioSpec {
             engine,
             report,
         })
+    }
+
+    /// The same workload on an `n`-node graph of the same family: how the
+    /// report binaries sweep a Table 1 row over its `report.sizes`. Every
+    /// other field is kept, so validate the result before running it.
+    ///
+    /// # Panics
+    ///
+    /// Panics for the families whose size is not a single node count
+    /// (`grid`, `torus`, `class-g`).
+    pub fn at_size(&self, n: usize) -> ScenarioSpec {
+        let mut spec = self.clone();
+        match &mut spec.graph {
+            GraphSpec::Sparse { n: size, .. }
+            | GraphSpec::Complete { n: size }
+            | GraphSpec::Gnp { n: size, .. }
+            | GraphSpec::PowerLaw { n: size, .. } => *size = n,
+            other => panic!("graph family {other:?} has no single node-count parameter"),
+        }
+        spec
     }
 
     /// Re-checks every cross-field invariant. `parse` calls this; generated

@@ -2,11 +2,14 @@
 //! (every checked-in file validates and re-serializes byte-stably),
 //! parse/serialize round-trip identity over generated specs, digest
 //! equivalence between the generic spec runner and the hand-written
-//! harness entry points it replaced, and seed-determinism of the fuzz
-//! generator's spec stream.
+//! harness entry points it replaced, that every field of a Table 1 spec
+//! reaches the measured cell, and seed-determinism of the fuzz generator's
+//! spec stream.
 
 use proptest::prelude::*;
 
+use wakeup_bench::artifacts::ArtifactCache;
+use wakeup_bench::{run_cell, RowPoint};
 use wakeup_core::advice::{run_scheme, BfsTreeScheme, CenScheme, SpannerScheme, ThresholdScheme};
 use wakeup_core::dfs_rank::DfsRank;
 use wakeup_core::fast_wakeup::FastWakeUp;
@@ -14,7 +17,7 @@ use wakeup_core::flooding::FloodAsync;
 use wakeup_core::harness;
 use wakeup_graph::{generators, NodeId};
 use wakeup_scenario::gen::SpecGen;
-use wakeup_scenario::{corpus, run, GraphSpec, ProtocolSpec, ScenarioSpec, WakeSpec};
+use wakeup_scenario::{corpus, run, DelaySpec, GraphSpec, ProtocolSpec, ScenarioSpec, WakeSpec};
 use wakeup_sim::adversary::WakeSchedule;
 use wakeup_sim::{Network, RunDigest};
 
@@ -158,6 +161,105 @@ fn table1_rows_run_to_the_reference_digests() {
             diffs.is_empty(),
             "{}: spec runner diverges from the direct harness: {diffs:?}",
             path.display()
+        );
+    }
+}
+
+/// Every measured quantity of a cell, floats by bit pattern, obs JSON
+/// included.
+fn fingerprint(p: &RowPoint) -> String {
+    format!(
+        "n={} messages={} time={:x} adv_max={} adv_avg={:x} shape={:x} obs={}",
+        p.n,
+        p.messages,
+        p.time.to_bits(),
+        p.advice_max_bits,
+        p.advice_avg_bits.to_bits(),
+        p.shape.to_bits(),
+        p.snapshot.to_json()
+    )
+}
+
+/// A named edit of one spec field.
+type Mutation<'a> = (&'a str, &'a dyn Fn(&mut ScenarioSpec));
+
+/// The spec is the only description of a Table 1 workload: at each row's
+/// smallest size, changing any workload field either changes the measured
+/// cell or is rejected by validation, while the shard count (an execution
+/// detail) leaves the cell byte-identical.
+#[test]
+fn every_table1_spec_field_reaches_the_measurement() {
+    let cache = ArtifactCache::new();
+    let rows: Vec<ScenarioSpec> = corpus::table1()
+        .unwrap()
+        .into_iter()
+        .map(|(_, spec)| spec)
+        .collect();
+    for (i, row) in rows.iter().enumerate() {
+        let n = row.report.as_ref().unwrap().sizes[0];
+        let cell = row.at_size(n);
+        let base = fingerprint(&run_cell(&cache, &cell));
+
+        let next_protocol = rows[(i + 1) % rows.len()].protocol;
+        let mutations: [Mutation; 6] = [
+            ("graph seed or family", &|s| {
+                s.graph = match s.graph {
+                    GraphSpec::Sparse { n, seed } => GraphSpec::Sparse { n, seed: seed + 1 },
+                    GraphSpec::Complete { n } => GraphSpec::Sparse {
+                        n,
+                        seed: s.engine.seed,
+                    },
+                    ref other => panic!("unexpected table1 graph {other:?}"),
+                }
+            }),
+            ("graph family", &|s| {
+                s.graph = GraphSpec::PowerLaw {
+                    n,
+                    attach: 3,
+                    seed: 1,
+                }
+            }),
+            ("wake", &|s| {
+                s.wake = match s.wake {
+                    WakeSpec::Single { .. } => WakeSpec::Single { node: n - 1 },
+                    WakeSpec::Staggered { gap } => WakeSpec::Staggered { gap: gap + 5.0 },
+                    WakeSpec::All => WakeSpec::Single { node: 0 },
+                    ref other => panic!("unexpected table1 wake {other:?}"),
+                }
+            }),
+            ("delays", &|s| s.delays = DelaySpec::Random { seed: 3 }),
+            // Flooding ignores port numbering and ids, so the engine seed
+            // alone cannot move its cell; on `sparse` the seed pair moves
+            // together, the corpus convention that keys the cached network.
+            ("engine seed", &|s| {
+                s.engine.seed += 1;
+                if let GraphSpec::Sparse { seed, .. } = &mut s.graph {
+                    *seed += 1;
+                }
+            }),
+            ("protocol", &|s| s.protocol = next_protocol),
+        ];
+        for (field, edit) in mutations {
+            let mut spec = cell.clone();
+            edit(&mut spec);
+            if spec.validate().is_err() {
+                continue;
+            }
+            assert_ne!(
+                fingerprint(&run_cell(&cache, &spec)),
+                base,
+                "{}: changing the {field} left the measured cell unchanged",
+                row.name
+            );
+        }
+
+        let mut sharded = cell.clone();
+        sharded.engine.shards = 4;
+        assert_eq!(
+            fingerprint(&run_cell(&cache, &sharded)),
+            base,
+            "{}: 4 shards changed the measured cell",
+            row.name
         );
     }
 }
