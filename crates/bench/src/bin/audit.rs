@@ -20,7 +20,7 @@
 //! the process exits nonzero — this is the CI `audit` job's entry point.
 //!
 //! ```text
-//! cargo run --release -p wakeup-bench --features audit --bin audit -- [--out-dir DIR]
+//! cargo run --release -p wakeup-bench --bin audit -- [--out-dir DIR]
 //! ```
 
 use std::path::PathBuf;

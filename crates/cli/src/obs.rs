@@ -588,16 +588,16 @@ mod tests {
     #[test]
     fn inspect_prints_the_executor_decision() {
         let snaps = vec![Labeled {
-            label: "traced".to_string(),
+            label: "audited".to_string(),
             snapshot: parse(
                 r#"{"schema":4,"events":5,"runtime":{"shards":1,"shard_events":[5],
                     "shard_sends":[4],"wheel_max_scan":1024,"arena_high_water":3,
                     "prefetch_batches":4,"stall_rounds":0,"relabel_applied":false,
-                    "shards_requested":4,"shard_fallback":"trace"}}"#,
+                    "shards_requested":4,"shard_fallback":"audit"}}"#,
             ),
         }];
         let text = render_inspect(&snaps);
-        assert!(text.contains("runtime (diag): shards 1 of 4 requested (trace) |"));
+        assert!(text.contains("runtime (diag): shards 1 of 4 requested (audit) |"));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`run`] — the generic spec runner: build the graph, dispatch on the
 //!   protocol, return a [`wakeup_sim::RunDigest`]-able report;
 //! * [`gen`] — a seeded-deterministic generator of random *valid* specs;
-//! * [`conformance`] (feature `audit`) — the differential battery that
+//! * [`conformance`] — the differential battery that
 //!   `wakeup fuzz` feeds each spec through: invariant audits,
 //!   batched-vs-per-message, reset-vs-fresh, sharded-vs-serial, and
 //!   lockstep-vs-sync where eligible, plus greedy spec minimization.
@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "audit")]
 pub mod conformance;
 pub mod corpus;
 pub mod gen;

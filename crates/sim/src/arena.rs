@@ -14,35 +14,29 @@
 //! Slots are recycled through a free list, so steady-state traffic allocates
 //! nothing; [`PayloadArena::clear`] drops all payloads while keeping slot
 //! capacity, which is what the engines' `reset()` paths rely on to reuse one
-//! arena across trials. In debug builds (and in any build with the `audit`
-//! feature) every slot carries a generation counter and refs are validated
-//! against it, catching use-after-free of a recycled slot; plain release
-//! builds keep `PayloadRef` at four bytes.
+//! arena across trials. Every slot carries a generation counter and refs
+//! are validated against it, catching use-after-free of a recycled slot.
 
 /// Handle to a payload stored in a [`PayloadArena`].
 ///
-/// Plain index in release builds; index + generation in debug and `audit`
-/// builds so a stale handle (kept across a `take` that freed the slot)
-/// panics instead of silently aliasing whatever payload was recycled into
-/// the slot. The audit recorder stamps both halves into its `send` and
-/// `deliver` events, which is what lets the payload-lifecycle invariant
-/// prove the absence of silent reuse post hoc.
+/// Index + generation, so a stale handle (kept across a `take` that freed
+/// the slot) panics instead of silently aliasing whatever payload was
+/// recycled into the slot. The audit recorder stamps both halves into its
+/// `send` and `deliver` events, which is what lets the payload-lifecycle
+/// invariant prove the absence of silent reuse post hoc.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PayloadRef {
     idx: u32,
-    #[cfg(any(debug_assertions, feature = "audit"))]
     gen: u32,
 }
 
 impl PayloadRef {
     /// The slot index (stable identity of the stored payload while live).
-    #[cfg(feature = "audit")]
     pub(crate) fn slot(self) -> u32 {
         self.idx
     }
 
     /// The slot generation this handle was issued against.
-    #[cfg(feature = "audit")]
     pub(crate) fn generation(self) -> u32 {
         self.gen
     }
@@ -55,7 +49,6 @@ struct Slot<M> {
     refs: u32,
     /// `size_bits()` of the payload, computed once at insert time.
     bits: usize,
-    #[cfg(any(debug_assertions, feature = "audit"))]
     gen: u32,
 }
 
@@ -76,7 +69,6 @@ impl<M> Default for PayloadArena<M> {
 }
 
 impl<M> PayloadArena<M> {
-    #[cfg(any(debug_assertions, feature = "audit"))]
     #[inline]
     fn check_gen(&self, r: PayloadRef) {
         assert_eq!(
@@ -84,10 +76,6 @@ impl<M> PayloadArena<M> {
             "stale payload ref: slot was freed and recycled"
         );
     }
-
-    #[cfg(not(any(debug_assertions, feature = "audit")))]
-    #[inline]
-    fn check_gen(&self, _r: PayloadRef) {}
 
     /// Stores `msg` with its precomputed bit size, reusing a freed slot when
     /// one exists. The returned handle carries one reference.
@@ -99,11 +87,7 @@ impl<M> PayloadArena<M> {
                 slot.msg = Some(msg);
                 slot.refs = 1;
                 slot.bits = bits;
-                PayloadRef {
-                    idx,
-                    #[cfg(any(debug_assertions, feature = "audit"))]
-                    gen: slot.gen,
-                }
+                PayloadRef { idx, gen: slot.gen }
             }
             None => {
                 let idx = u32::try_from(self.slots.len()).expect("arena handle fits u32");
@@ -111,14 +95,9 @@ impl<M> PayloadArena<M> {
                     msg: Some(msg),
                     refs: 1,
                     bits,
-                    #[cfg(any(debug_assertions, feature = "audit"))]
                     gen: 0,
                 });
-                PayloadRef {
-                    idx,
-                    #[cfg(any(debug_assertions, feature = "audit"))]
-                    gen: 0,
-                }
+                PayloadRef { idx, gen: 0 }
             }
         }
     }
@@ -176,10 +155,7 @@ impl<M: Clone> PayloadArena<M> {
         if slot.refs <= 1 {
             let msg = slot.msg.take().expect("payload taken twice");
             slot.refs = 0;
-            #[cfg(any(debug_assertions, feature = "audit"))]
-            {
-                slot.gen = slot.gen.wrapping_add(1);
-            }
+            slot.gen = slot.gen.wrapping_add(1);
             self.free.push(r.idx);
             msg
         } else {
@@ -242,9 +218,7 @@ mod tests {
 
     /// A handle kept across the `take` that freed its slot must be rejected
     /// when the slot has been recycled for a new payload — the silent-reuse
-    /// failure mode the generation counter exists to catch. Generation
-    /// checks run in debug builds and in `audit` builds.
-    #[cfg(any(debug_assertions, feature = "audit"))]
+    /// failure mode the generation counter exists to catch.
     #[test]
     #[should_panic(expected = "stale payload ref")]
     fn stale_ref_into_recycled_slot_is_rejected() {
@@ -259,7 +233,6 @@ mod tests {
     }
 
     /// `share` and `bits` validate generations too, not just `take`.
-    #[cfg(any(debug_assertions, feature = "audit"))]
     #[test]
     #[should_panic(expected = "stale payload ref")]
     fn stale_ref_bits_lookup_is_rejected() {

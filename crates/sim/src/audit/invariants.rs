@@ -121,9 +121,11 @@ impl EdgeValidity {
             });
             return;
         }
+        // Channels exist exactly over the graph's edges, in both directions.
         if !scope
             .net
-            .is_channel(NodeId::new(from as usize), NodeId::new(to as usize))
+            .graph()
+            .has_edge(NodeId::new(from as usize), NodeId::new(to as usize))
         {
             self.violations.push(Violation {
                 invariant: "edge-validity",

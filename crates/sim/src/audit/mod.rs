@@ -1,31 +1,30 @@
-//! Model-conformance auditing (feature `audit`).
+//! Model-conformance auditing: the engines' one event recorder.
 //!
-//! Three straight performance PRs rewrote every hot path in both engines —
-//! payload arena, batched delivery, engine reuse, chunk-parallel setup. The
-//! paper's claims are *model-relative* (FIFO channels, delays in `(0, τ]`,
-//! CONGEST's `O(log n)`-bit messages, oblivious adversaries), so this module
-//! is the machinery that proves the simulator still implements the model
-//! after each optimization:
+//! The paper's claims are *model-relative* (FIFO channels, delays in
+//! `(0, τ]`, CONGEST's `O(log n)`-bit messages, oblivious adversaries), so
+//! this module is the machinery that proves the simulator implements the
+//! model after every optimization of its hot paths:
 //!
-//! * **[`AuditLog`]** — a structured event recorder both engines feed when
+//! * **[`AuditLog`]** — the structured event recorder both engines feed when
 //!   [`crate::AsyncConfig::audit_capacity`] /
-//!   [`crate::SyncConfig::audit_capacity`] is set. Unlike the lightweight
-//!   [`crate::Trace`], audit events carry logical timestamps (the global
-//!   event sequence), payload-arena slot **generations**, and advice-read
-//!   accounting — enough to re-derive every model guarantee post hoc.
+//!   [`crate::SyncConfig::audit_capacity`] is set. Events carry logical
+//!   timestamps (the global event sequence), payload-arena slot
+//!   **generations**, and advice-read accounting — enough to re-derive every
+//!   model guarantee post hoc. [`AuditLog::wake_front`],
+//!   [`AuditLog::channel_load`] and [`AuditLog::render_timeline`] answer the
+//!   debugging questions ("who woke whom, when?") directly on the log.
 //! * **[`Invariant`]** — a pluggable checker interface; the standard set
-//!   ([`Auditor::standard`]) validates per-edge FIFO order, the `(0, τ]`
-//!   delay bound, CONGEST budgets as charged at enqueue, monotone clocks,
-//!   payload lifecycle (no use-after-free, no double delivery, no loss),
-//!   wake causality, and advice-length accounting.
+//!   ([`Auditor::standard`]) validates edge validity, per-edge FIFO order,
+//!   the `(0, τ]` delay bound, CONGEST budgets as charged at enqueue,
+//!   monotone clocks, payload lifecycle (no use-after-free, no double
+//!   delivery, no loss), wake causality, and advice-length accounting.
 //! * **JSONL** — [`AuditLog::to_jsonl`] / [`AuditLog::from_jsonl`] give a
 //!   stable line-per-event interchange format, so a failing execution can be
 //!   committed as a fixture, attached to CI artifacts, and replayed through
 //!   the checkers without re-running the engine.
 //!
-//! Everything here is compiled only with the `audit` feature; with the
-//! feature off the engines carry no audit fields at all, so the hot paths
-//! are byte-for-byte the non-auditing build.
+//! The recorder is always compiled; a run that sets no capacity pays one
+//! predictable `Option` branch per handler.
 //!
 //! # Example
 //!
@@ -68,6 +67,9 @@ pub use invariants::{
     MonotoneClock, PayloadLifecycle, Violation, WakeCausality,
 };
 
+use wakeup_graph::NodeId;
+
+use crate::arena::PayloadRef;
 use crate::bits::BitStr;
 use crate::message::ChannelModel;
 use crate::metrics::TICKS_PER_UNIT;
@@ -145,8 +147,9 @@ impl AuditEvent {
 /// A bounded, ordered audit event log recorded by an engine run.
 ///
 /// The capacity cap drops the *newest* events and sets
-/// [`AuditLog::truncated`], mirroring [`crate::Trace`]; end-of-run
-/// invariants (conservation, payload leaks) are skipped for truncated logs.
+/// [`AuditLog::truncated`], so a runaway protocol cannot exhaust memory;
+/// end-of-run invariants (conservation, payload leaks) are skipped for
+/// truncated logs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditLog {
     events: Vec<AuditEvent>,
@@ -214,6 +217,117 @@ impl AuditLog {
     /// execution.
     pub fn from_jsonl(text: &str) -> Result<AuditLog, String> {
         jsonl::from_jsonl(text)
+    }
+
+    /// The wake-up front: `(time-in-units, node, cause)` sorted by time —
+    /// how the awake set grew over the execution.
+    pub fn wake_front(&self) -> Vec<(f64, NodeId, WakeCause)> {
+        let mut front: Vec<(f64, NodeId, WakeCause)> = self
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                AuditEvent::Wake { tick, node, cause } => Some((
+                    tick as f64 / TICKS_PER_UNIT as f64,
+                    NodeId::new(node as usize),
+                    cause,
+                )),
+                _ => None,
+            })
+            .collect();
+        front.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        front
+    }
+
+    /// Messages sent on the directed channel `from → to`.
+    pub fn channel_load(&self, from: NodeId, to: NodeId) -> usize {
+        let (from, to) = (from.index() as u32, to.index() as u32);
+        self.events
+            .iter()
+            .filter(
+                |e| matches!(**e, AuditEvent::Send { from: f, to: t, .. } if f == from && t == to),
+            )
+            .count()
+    }
+
+    /// A compact human-readable timeline, one line per event, capped at
+    /// `max_lines` lines.
+    pub fn render_timeline(&self, max_lines: usize) -> String {
+        let mut out = String::new();
+        let v = |i: u32| NodeId::new(i as usize);
+        for e in self.events.iter().take(max_lines) {
+            let t = e.tick() as f64 / TICKS_PER_UNIT as f64;
+            let line = match *e {
+                AuditEvent::Wake { node, cause, .. } => {
+                    format!("{t:9.3}  WAKE    {} ({cause:?})\n", v(node))
+                }
+                AuditEvent::AdviceRead { node, bits, .. } => {
+                    format!("{t:9.3}  ADVICE  {} ({bits}b)\n", v(node))
+                }
+                AuditEvent::Send { from, to, bits, .. } => {
+                    format!("{t:9.3}  SEND    {} -> {} ({bits}b)\n", v(from), v(to))
+                }
+                AuditEvent::Deliver { from, to, .. } => {
+                    format!("{t:9.3}  DELIVER {} -> {}\n", v(from), v(to))
+                }
+            };
+            out.push_str(&line);
+        }
+        if self.events.len() > max_lines {
+            out.push_str(&format!(
+                "… {} more events\n",
+                self.events.len() - max_lines
+            ));
+        }
+        out
+    }
+
+    /// Records that `node` woke at `tick`. A node consults its advice exactly
+    /// when it wakes, so its advice length (when an oracle assigned
+    /// `advice`) is logged here for the advice-accounting invariant.
+    pub(crate) fn record_wake(
+        &mut self,
+        tick: u64,
+        node: NodeId,
+        cause: WakeCause,
+        advice: Option<&Vec<BitStr>>,
+    ) {
+        let node = node.index() as u32;
+        self.record(AuditEvent::Wake { tick, node, cause });
+        if let Some(advice) = advice {
+            let bits = advice[node as usize].len() as u32;
+            self.record(AuditEvent::AdviceRead { tick, node, bits });
+        }
+    }
+
+    /// Records that `msg` from original sender index `from` was delivered
+    /// to `to`.
+    pub(crate) fn record_deliver(&mut self, tick: u64, from: u32, to: NodeId, msg: PayloadRef) {
+        self.record(AuditEvent::Deliver {
+            tick,
+            from,
+            to: to.index() as u32,
+            slot: msg.slot(),
+            gen: msg.generation(),
+        });
+    }
+
+    /// Records that `msg` of `bits` bits was sent from `from` to `to`.
+    pub(crate) fn record_send(
+        &mut self,
+        tick: u64,
+        from: NodeId,
+        to: NodeId,
+        bits: usize,
+        msg: PayloadRef,
+    ) {
+        self.record(AuditEvent::Send {
+            tick,
+            from: from.index() as u32,
+            to: to.index() as u32,
+            bits: bits as u32,
+            slot: msg.slot(),
+            gen: msg.generation(),
+        });
     }
 }
 
@@ -306,6 +420,74 @@ mod tests {
         assert!(!scope.completed);
         assert_eq!(scope.advice_bits.as_deref(), Some(&[0u32, 0, 0, 0][..]));
         assert!(matches!(scope.channel, ChannelModel::Congest { .. }));
+    }
+
+    fn send(tick: u64, from: u32, to: u32) -> AuditEvent {
+        AuditEvent::Send {
+            tick,
+            from,
+            to,
+            bits: 1,
+            slot: 0,
+            gen: 0,
+        }
+    }
+
+    #[test]
+    fn wake_front_sorted() {
+        let mut log = AuditLog::default();
+        log.record(AuditEvent::Wake {
+            tick: 2048,
+            node: 1,
+            cause: WakeCause::Message,
+        });
+        log.record(AuditEvent::Wake {
+            tick: 0,
+            node: 0,
+            cause: WakeCause::Adversary,
+        });
+        let front = log.wake_front();
+        assert_eq!(front.len(), 2);
+        assert_eq!(front[0].1, NodeId::new(0));
+        assert_eq!(front[1].0, 2.0);
+    }
+
+    #[test]
+    fn channel_load_counts_directed() {
+        let mut log = AuditLog::default();
+        for event in [send(0, 0, 1), send(1, 0, 1), send(2, 1, 0)] {
+            log.record(event);
+        }
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        assert_eq!(log.channel_load(a, b), 2);
+        assert_eq!(log.channel_load(b, a), 1);
+    }
+
+    #[test]
+    fn timeline_renders_and_caps() {
+        let mut log = AuditLog::default();
+        for i in 0..5 {
+            log.record(AuditEvent::Deliver {
+                tick: i,
+                from: 0,
+                to: 1,
+                slot: 0,
+                gen: 0,
+            });
+        }
+        log.record(send(6, 1, 0));
+        log.record(AuditEvent::AdviceRead {
+            tick: 6,
+            node: 1,
+            bits: 3,
+        });
+        let s = log.render_timeline(3);
+        assert!(s.contains("DELIVER v0 -> v1"));
+        assert!(s.contains("4 more events"));
+        let full = log.render_timeline(100);
+        assert!(full.contains("SEND    v1 -> v0 (1b)"));
+        assert!(full.contains("ADVICE  v1 (3b)"));
+        assert!(!full.contains("more events"));
     }
 
     #[test]

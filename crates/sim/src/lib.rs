@@ -67,11 +67,9 @@ pub mod adversary;
 pub mod advice;
 mod arena;
 mod async_engine;
-#[cfg(feature = "audit")]
 pub mod audit;
 pub mod bits;
 pub mod differential;
-pub mod invariants;
 pub mod knowledge;
 mod lockstep;
 mod message;
@@ -84,7 +82,6 @@ mod proptests;
 mod protocol;
 pub mod shard;
 mod sync_engine;
-pub mod trace;
 pub mod viz;
 
 pub use async_engine::{AsyncConfig, AsyncEngine};
@@ -104,4 +101,3 @@ pub use protocol::{
 };
 pub use shard::shards_from_env;
 pub use sync_engine::{SyncConfig, SyncEngine};
-pub use trace::{Trace, TraceEvent};

@@ -118,14 +118,6 @@ impl Network {
         self.graph.n()
     }
 
-    /// Whether `from → to` is a directed channel of this network. Channels
-    /// exist exactly over the graph's edges, in both directions — the fact
-    /// the audit's edge-validity invariant checks recorded traffic against.
-    #[cfg(feature = "audit")]
-    pub fn is_channel(&self, from: NodeId, to: NodeId) -> bool {
-        self.graph.has_edge(from, to)
-    }
-
     /// Looks up the node with the given network ID (linear scan; intended
     /// for tests and report post-processing, not hot paths).
     pub fn node_with_id(&self, id: u64) -> Option<NodeId> {

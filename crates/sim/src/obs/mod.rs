@@ -1,9 +1,8 @@
 //! Always-on, low-overhead observability: counters, log2-bucketed
 //! histograms, protocol phase spans, and causal wake-up tracing.
 //!
-//! Unlike the opt-in [`crate::trace::Trace`] (per-event log) and the
-//! feature-gated `audit` subsystem (model-conformance evidence), the obs
-//! layer is compiled in unconditionally and enabled by default: every
+//! Unlike the opt-in [`crate::audit::AuditLog`] (per-event
+//! model-conformance log), the obs layer is enabled by default: every
 //! [`crate::RunReport`] carries an [`Obs`] with distribution-level data the
 //! end-of-run totals in [`crate::Metrics`] cannot express — where the delay
 //! mass sits, how large delivery batches get, how long each node slept past

@@ -591,9 +591,7 @@ mod tests {
             outputs: vec![None, None],
             truncated: false,
             metrics,
-            trace: None,
             obs,
-            #[cfg(feature = "audit")]
             audit_log: None,
         }
     }

@@ -112,7 +112,7 @@ fn malformed(why: &'static str) -> StoreError {
 /// store writer keyed by `key`. Networks with a run space store the
 /// run-space table set plus the [`tag::PERM`] permutation; reload then
 /// presets the run space and rebuilds identity tables lazily only if an
-/// identity-bound engine (trace/audit) asks for them.
+/// identity-bound engine (audit recording) asks for them.
 pub fn encode_network(key: &str, net: &Network) -> StoreWriter {
     let space = net.run_space();
     let tables = match space {

@@ -37,12 +37,11 @@ use wakeup_graph::{NodeId, Relabeling};
 
 use crate::adversary::WakeSchedule;
 use crate::arena::{PayloadArena, PayloadRef};
+use crate::audit::AuditLog;
 use crate::bits::DenseBits;
 use crate::metrics::{Metrics, RunReport};
 use crate::network::NodeTables;
 use crate::obs::{ObsLevel, ShardObs};
-use crate::protocol::WakeCause;
-use crate::trace::{Trace, TraceEvent};
 
 /// The shard count requested through the `WAKEUP_SHARDS` environment
 /// variable, defaulting to 1 when unset or unparsable. The
@@ -94,8 +93,6 @@ pub const MAX_SHARDS: usize = 256;
 /// shard count, so each of these only costs parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardFallback {
-    /// Trace recording: the trace is one chronological event stream.
-    Trace,
     /// Audit recording: the audit log is one chronological event stream.
     Audit,
     /// The delay strategy has no deterministic [`crate::adversary::DelayStrategy::fork`],
@@ -111,7 +108,6 @@ impl ShardFallback {
     /// The reason's stable name in the diagnostic export.
     pub fn as_str(self) -> &'static str {
         match self {
-            ShardFallback::Trace => "trace",
             ShardFallback::Audit => "audit",
             ShardFallback::UnforkableDelays => "unforkable_delays",
             ShardFallback::NBelowK => "n_below_k",
@@ -315,116 +311,6 @@ impl ShardMetrics {
     }
 }
 
-/// The chronological recorders: the execution trace and the audit log.
-/// Either one forces `k = 1` ([`ShardFallback::Trace`],
-/// [`ShardFallback::Audit`]), so only a lone worker ever carries them.
-#[derive(Default)]
-pub(crate) struct Recorders {
-    pub(crate) trace: Option<Trace>,
-    #[cfg(feature = "audit")]
-    pub(crate) audit: Option<crate::audit::AuditLog>,
-}
-
-impl Recorders {
-    /// Whether any recorder is on (checked once per handler on the hot
-    /// path, so non-recording runs pay one predictable branch).
-    #[inline]
-    pub(crate) fn is_on(&self) -> bool {
-        #[cfg(feature = "audit")]
-        if self.audit.is_some() {
-            return true;
-        }
-        self.trace.is_some()
-    }
-
-    /// The recorder that forces this run to one shard, if any.
-    pub(crate) fn fallback(&self) -> Option<ShardFallback> {
-        if self.trace.is_some() {
-            return Some(ShardFallback::Trace);
-        }
-        #[cfg(feature = "audit")]
-        if self.audit.is_some() {
-            return Some(ShardFallback::Audit);
-        }
-        None
-    }
-
-    /// `node` woke at `tick`. A node consults its advice exactly when it
-    /// wakes, so its advice length (when an oracle assigned `advice`) is
-    /// logged here for the advice-accounting invariant.
-    #[cfg_attr(not(feature = "audit"), allow(unused_variables))]
-    pub(crate) fn wake(
-        &mut self,
-        tick: u64,
-        node: NodeId,
-        cause: WakeCause,
-        advice: Option<&Vec<crate::bits::BitStr>>,
-    ) {
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent::Wake { tick, node, cause });
-        }
-        #[cfg(feature = "audit")]
-        if let Some(log) = self.audit.as_mut() {
-            let node = node.index() as u32;
-            log.record(crate::audit::AuditEvent::Wake { tick, node, cause });
-            if let Some(advice) = advice {
-                let bits = advice[node as usize].len() as u32;
-                log.record(crate::audit::AuditEvent::AdviceRead { tick, node, bits });
-            }
-        }
-    }
-
-    /// `msg` from original sender index `from` was delivered to `to`.
-    #[cfg_attr(not(feature = "audit"), allow(unused_variables))]
-    pub(crate) fn deliver(&mut self, tick: u64, from: u32, to: NodeId, msg: PayloadRef) {
-        if let Some(tr) = self.trace.as_mut() {
-            let from = NodeId::new(from as usize);
-            tr.record(TraceEvent::Deliver { tick, from, to });
-        }
-        #[cfg(feature = "audit")]
-        if let Some(log) = self.audit.as_mut() {
-            log.record(crate::audit::AuditEvent::Deliver {
-                tick,
-                from,
-                to: to.index() as u32,
-                slot: msg.slot(),
-                gen: msg.generation(),
-            });
-        }
-    }
-
-    /// `msg` of `bits` bits was sent from `from` to `to`.
-    #[cfg_attr(not(feature = "audit"), allow(unused_variables))]
-    pub(crate) fn send(
-        &mut self,
-        tick: u64,
-        from: NodeId,
-        to: NodeId,
-        bits: usize,
-        msg: PayloadRef,
-    ) {
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent::Send {
-                tick,
-                from,
-                to,
-                bits,
-            });
-        }
-        #[cfg(feature = "audit")]
-        if let Some(log) = self.audit.as_mut() {
-            log.record(crate::audit::AuditEvent::Send {
-                tick,
-                from: from.index() as u32,
-                to: to.index() as u32,
-                bits: bits as u32,
-                slot: msg.slot(),
-                gen: msg.generation(),
-            });
-        }
-    }
-}
-
 /// The run-global per-node arrays the workers write in place through
 /// disjoint per-shard slices.
 pub(crate) struct RunArrays {
@@ -483,7 +369,9 @@ impl RunArrays {
 pub(crate) struct WorkerOut {
     pub(crate) sm: ShardMetrics,
     pub(crate) obs: ShardObs,
-    pub(crate) rec: Recorders,
+    /// The audit log, which forces `k = 1` ([`ShardFallback::Audit`]), so
+    /// only a lone worker ever carries one.
+    pub(crate) audit: Option<AuditLog>,
 }
 
 /// Run-level totals tallied across windows by the inline loop or the
@@ -590,7 +478,7 @@ impl<'a> RunPlan<'a> {
         let n = outputs.len();
         let mut awake_total = 0usize;
         let mut obs_shards = Vec::with_capacity(outs.len());
-        let mut rec = Recorders::default();
+        let mut audit_log = None;
         let mut ports = Vec::with_capacity(if track_ports { n } else { 0 });
         for (s, out) in outs.into_iter().enumerate() {
             out.sm.merge_into(&mut metrics);
@@ -605,7 +493,7 @@ impl<'a> RunPlan<'a> {
             }
             obs_shards.push(out.obs);
             if s == 0 {
-                rec = out.rec;
+                audit_log = out.audit;
             }
         }
         if track_ports {
@@ -630,10 +518,8 @@ impl<'a> RunPlan<'a> {
             outputs,
             truncated: tally.truncated,
             metrics,
-            trace: rec.trace,
             obs,
-            #[cfg(feature = "audit")]
-            audit_log: rec.audit,
+            audit_log,
         };
         if let Some(rel) = self.rel {
             crate::network::unpermute_report(rel, &mut report);
@@ -765,10 +651,10 @@ mod tests {
             (MAX_SHARDS, Some(ShardFallback::MaxShards))
         );
         assert_eq!(plan(3, 4), (3, Some(ShardFallback::NBelowK)));
-        let forced = RunPlan::new(n, 4, Some(ShardFallback::Trace), None, net.tables());
+        let forced = RunPlan::new(n, 4, Some(ShardFallback::Audit), None, net.tables());
         assert_eq!(
             (forced.shards.k, forced.fallback),
-            (1, Some(ShardFallback::Trace))
+            (1, Some(ShardFallback::Audit))
         );
     }
 

@@ -6,6 +6,7 @@ use wakeup_graph::NodeId;
 
 use crate::adversary::WakeSchedule;
 use crate::arena::{PayloadArena, PayloadRef};
+use crate::audit::AuditLog;
 use crate::bits::BitStr;
 use crate::knowledge::Port;
 use crate::message::ChannelModel;
@@ -13,10 +14,9 @@ use crate::metrics::{RunReport, TICKS_PER_UNIT};
 use crate::network::{Network, NodeTables};
 use crate::protocol::{Context, Inbox, Incoming, SyncProtocol, WakeCause};
 use crate::shard::{
-    split_lengths, CrossPayload, DeliverEntry, NodeSlices, Recorders, RunArrays, RunPlan, RunTally,
-    ShardMetrics, Worker, WorkerOut,
+    split_lengths, CrossPayload, DeliverEntry, NodeSlices, RunArrays, RunPlan, RunTally,
+    ShardFallback, ShardMetrics, Worker, WorkerOut,
 };
-use crate::trace::Trace;
 
 /// Configuration of a [`SyncEngine`] run.
 #[derive(Debug, Clone)]
@@ -42,19 +42,14 @@ pub struct SyncConfig {
     pub obs_windows: crate::obs::WindowCfg,
     /// Count CONGEST violations instead of panicking.
     pub record_congest_violations: bool,
-    /// Record an execution trace with the given event capacity.
-    pub trace_capacity: Option<usize>,
-    /// Record a model-conformance [`crate::audit::AuditLog`] with the given
-    /// event capacity (`None` = off). Independent of `trace_capacity`: the
-    /// audit log additionally carries logical timestamps, payload-arena
-    /// generations, and advice reads.
-    #[cfg(feature = "audit")]
+    /// Record a model-conformance [`AuditLog`] with the given event
+    /// capacity (`None` = off).
     pub audit_capacity: Option<usize>,
     /// Number of intra-run worker shards (default 1: the one worker runs
     /// inline on the calling thread). With `K > 1` the per-round
     /// deliver/step loop is parallelized over `K` contiguous node ranges
     /// under the round barrier; output is byte-identical at any shard
-    /// count. Runs that record traces or audit logs use one shard and
+    /// count. Runs that record audit logs use one shard and
     /// record why in [`crate::RuntimeCounters::shard_fallback`].
     pub shards: usize,
 }
@@ -71,8 +66,6 @@ impl Default for SyncConfig {
             obs: crate::obs::ObsLevel::Full,
             obs_windows: crate::obs::WindowCfg::default(),
             record_congest_violations: false,
-            trace_capacity: None,
-            #[cfg(feature = "audit")]
             audit_capacity: None,
             shards: 1,
         }
@@ -91,8 +84,8 @@ pub struct SyncEngine<'n, P: SyncProtocol> {
     tables: Arc<NodeTables>,
     /// `Some` iff this engine executes in the locality-ordered run space
     /// (the network has a non-identity [`wakeup_graph::Relabeling`] and the
-    /// config records neither traces nor audit logs, whose streams are
-    /// defined in chronological identity order). The sync model has no
+    /// config records no audit log, whose stream is defined in
+    /// chronological identity order). The sync model has no
     /// delay strategy, so unlike the async engine there is no per-run
     /// fallback: `Some` here means every run relabels.
     space: Option<Arc<crate::network::RunSpace>>,
@@ -183,9 +176,9 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
     }
 
     fn with_handle(net: crate::network::NetHandle<'n>, config: SyncConfig) -> SyncEngine<'n, P> {
-        // Trace and audit streams are defined in chronological identity
-        // order, so recording runs stay in the original space.
-        let space = if recorders(&config).is_on() {
+        // Audit logs are defined in chronological identity order, so
+        // recording runs stay in the original space.
+        let space = if config.audit_capacity.is_some() {
             None
         } else {
             net.run_space().cloned()
@@ -261,9 +254,10 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
         let n = self.net.n();
         let net = &*self.net;
         let config = &self.config;
-        let mut rec = recorders(config);
+        let mut audit = config.audit_capacity.map(AuditLog::with_capacity);
+        let forced = audit.as_ref().map(|_| ShardFallback::Audit);
         let rel = self.space.as_deref().map(|s| &*s.rel);
-        let plan = RunPlan::new(n, config.shards, rec.fallback(), rel, &self.tables);
+        let plan = RunPlan::new(n, config.shards, forced, rel, &self.tables);
         let k = plan.shards.k;
         if self.scratch.shards.len() != k {
             self.scratch.shards = (0..k).map(|_| SyncShardScratch::new(k)).collect();
@@ -307,7 +301,7 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                 inboxes,
                 sm: ShardMetrics::new(config.track_ports, slots),
                 obs: crate::obs::ShardObs::new(hi - lo, config.obs, config.obs_windows),
-                rec: std::mem::take(&mut rec),
+                audit: audit.take(),
                 sc,
                 wakes,
                 cursor: 0,
@@ -376,17 +370,6 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
     }
 }
 
-/// The recorders `config` asks for (both off by default).
-fn recorders(config: &SyncConfig) -> Recorders {
-    Recorders {
-        trace: config.trace_capacity.map(Trace::with_capacity),
-        #[cfg(feature = "audit")]
-        audit: config
-            .audit_capacity
-            .map(crate::audit::AuditLog::with_capacity),
-    }
-}
-
 /// The sync engine's executor: one worker per shard, owning a contiguous
 /// node range. At `k = 1` it runs inline and owns every node; at `k > 1`
 /// the [`crate::shard::exchange`] drives it. Local node index = global id
@@ -404,7 +387,7 @@ struct SyncShard<'e, P: SyncProtocol> {
     inboxes: &'e mut [Vec<(Incoming, P::Msg)>],
     sm: ShardMetrics,
     obs: crate::obs::ShardObs,
-    rec: Recorders,
+    audit: Option<AuditLog>,
     sc: &'e mut SyncShardScratch<P::Msg>,
     /// This shard's schedule wakes, `(round, id)`-sorted (run ids when
     /// relabeled — the shard ranges partition run-id space).
@@ -480,7 +463,7 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
         WorkerOut {
             sm: self.sm,
             obs: self.obs,
-            rec: self.rec,
+            audit: self.audit,
         }
     }
 
@@ -504,15 +487,14 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
             // identity-space delivery order (see `DeliverEntry::from`).
             inflight.sort_by_key(|m| (m.to, m.from));
         }
-        let recording = self.rec.is_on();
         for m in inflight.drain(..) {
             let li = m.to as usize - self.lo;
             let to = NodeId::new(m.to as usize);
             self.nodes.received_by[li] += 1;
             // Recorded before any wake of this round, so wake causality
             // streams in order (the whole in-flight queue drains first).
-            if recording {
-                self.rec.deliver(tick, m.from & self.from_mask, to, m.msg);
+            if let Some(log) = self.audit.as_mut() {
+                log.record_deliver(tick, m.from & self.from_mask, to, m.msg);
             }
             if self.config.track_ports {
                 let slot = self.tables.slot(to, Port::new(m.rport as usize));
@@ -577,9 +559,8 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
             let ov = self
                 .rel
                 .map_or(v, |rel| NodeId::new(rel.to_orig(v.index())));
-            if self.rec.is_on() {
-                self.rec
-                    .wake(tick, ov, cause, self.config.advice.as_deref());
+            if let Some(log) = self.audit.as_mut() {
+                log.record_wake(tick, ov, cause, self.config.advice.as_deref());
             }
             self.nodes.awake[li] = true;
             self.sm.awake_count += 1;
@@ -611,14 +592,13 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
                 p.on_messages_batch(ctx, &mut Inbox::new(inbox))
             });
         }
-        if self.rec.is_on() {
+        if let Some(log) = self.audit.as_mut() {
             // Sends are logged once the round's handlers have all run, in
             // queue order — the in-flight list holds exactly this round's
             // sends, since recording runs use one shard.
             for m in &self.sc.inflight {
                 let (from, to) = (NodeId::new(m.from as usize), NodeId::new(m.to as usize));
-                self.rec
-                    .send(tick, from, to, self.sc.arena.bits(m.msg), m.msg);
+                log.record_send(tick, from, to, self.sc.arena.bits(m.msg), m.msg);
             }
         }
         let (sends, bits) = (self.obs.sends - sends0, self.sm.bits_sent - bits0);

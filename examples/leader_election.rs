@@ -1,10 +1,10 @@
-//! Leader election under adversarial wake-up, with an execution trace.
+//! Leader election under adversarial wake-up, with an audit log.
 //!
 //! The paper's related work (Section 1.3) frames leader election as the
 //! classic consumer of wake-up primitives; this example runs the
 //! `LeaderElect` extension (Theorem 3's DFS tokens + completion
 //! announcements) under a hostile staggered schedule and prints the wake
-//! front from the recorded trace.
+//! front from the recorded audit log.
 //!
 //! ```text
 //! cargo run --example leader_election
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let config = AsyncConfig {
         seed: 5,
-        trace_capacity: Some(200_000),
+        audit_capacity: Some(200_000),
         ..AsyncConfig::default()
     };
     let report = AsyncEngine::<LeaderElect>::new(&net, config).run(&schedule);
@@ -53,13 +53,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.metrics.time_units()
     );
 
-    // Render the first stretch of the wake front from the trace.
-    let trace = report.trace.as_ref().unwrap();
+    // Render the first stretch of the wake front from the audit log.
+    let log = report.audit_log.as_ref().unwrap();
     println!("wake front (first 12 wake-ups):");
-    for (t, node, cause) in trace.wake_front().into_iter().take(12) {
+    for (t, node, cause) in log.wake_front().into_iter().take(12) {
         println!("  t = {t:7.3}  {node}  ({cause:?})");
     }
     println!("\ntimeline head:");
-    print!("{}", trace.render_timeline(8));
+    print!("{}", log.render_timeline(8));
     Ok(())
 }

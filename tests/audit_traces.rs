@@ -8,11 +8,13 @@
 //! `WAKEUP_REGEN_GOLDENS=1` and explaining the change in the commit.
 
 use wakeup::core::fast_wakeup::FastWakeUp;
-use wakeup::core::flooding::FloodAsync;
+use wakeup::core::flooding::{FloodAsync, FloodSync};
 use wakeup::graph::{generators, NodeId};
 use wakeup::sim::adversary::{RandomDelay, WakeSchedule};
-use wakeup::sim::audit::{AuditEvent, AuditLog, AuditScope, Auditor, PayloadLifecycle};
-use wakeup::sim::{AsyncConfig, AsyncEngine, Network, SyncConfig, SyncEngine, WakeCause};
+use wakeup::sim::audit::{AuditEvent, AuditLog, AuditScope, Auditor, PayloadLifecycle, Violation};
+use wakeup::sim::{
+    AsyncConfig, AsyncEngine, Network, RunReport, SyncConfig, SyncEngine, WakeCause,
+};
 
 const FLOOD_GOLDEN: &str = include_str!("fixtures/audit_flood_n16.jsonl");
 const FAST_WAKEUP_GOLDEN: &str = include_str!("fixtures/audit_fast_wakeup_n16.jsonl");
@@ -162,4 +164,111 @@ fn auditor_flags_stale_payload_ref() {
             .any(|v| v.invariant == "payload-lifecycle" && v.detail.contains("use-after-free")),
         "stale PayloadRef not flagged: {violations:?}"
     );
+}
+
+/// The network and schedule of the truncation tests: node 0 has several
+/// neighbours, so a cut after its first delivery leaves messages in flight.
+fn truncation_workload() -> (Network, WakeSchedule) {
+    let net = Network::kt1(generators::erdos_renyi_connected(24, 0.3, 11).unwrap(), 11);
+    assert!(net.graph().degree(NodeId::new(0)) >= 2);
+    (net, WakeSchedule::single(NodeId::new(0)))
+}
+
+/// A run of flooding on the truncation workload, on either engine, with
+/// the given event cap (async) or round cap (sync) and audit capacity.
+fn flood_run(sync: bool, cap: u64, audit_capacity: usize) -> RunReport {
+    let (net, schedule) = truncation_workload();
+    if sync {
+        let config = SyncConfig {
+            max_rounds: cap,
+            audit_capacity: Some(audit_capacity),
+            ..SyncConfig::default()
+        };
+        SyncEngine::<FloodSync>::new(&net, config).run(&schedule)
+    } else {
+        let config = AsyncConfig {
+            max_events: cap,
+            audit_capacity: Some(audit_capacity),
+            ..AsyncConfig::default()
+        };
+        AsyncEngine::<FloodAsync>::new(&net, config).run_with(&schedule, &mut RandomDelay::new(3))
+    }
+}
+
+/// The standard battery over `log`, with the run marked complete or not.
+fn audit(log: &AuditLog, completed: bool) -> Vec<Violation> {
+    let (net, _) = truncation_workload();
+    Auditor::standard(AuditScope::new(&net).with_completed(completed)).run(log)
+}
+
+/// Which end-of-log checks fired: FIFO "lost", payload "leaked", and
+/// wake-causality "never woke".
+fn end_of_log_checks(violations: &[Violation]) -> [bool; 3] {
+    let fired = |invariant: &str, needle: &str| {
+        violations
+            .iter()
+            .any(|v| v.invariant == invariant && v.seq.is_none() && v.detail.contains(needle))
+    };
+    [
+        fired("fifo-order", "lost"),
+        fired("payload-lifecycle", "leaked"),
+        fired("wake-causality", "never woke"),
+    ]
+}
+
+/// A run cut short by the engine's event or round cap audits clean when
+/// scoped as incomplete. Forcing `completed` on its full log makes the
+/// messages still in flight show up as lost and leaked. The cap cuts
+/// between windows, so every logged delivery has its wake and "never woke"
+/// stays quiet.
+#[test]
+fn runs_cut_by_the_event_cap_audit_clean() {
+    for sync in [false, true] {
+        let report = flood_run(sync, if sync { 2 } else { 40 }, 1 << 20);
+        assert!(report.truncated, "sync={sync}");
+        let log = report.audit_log.as_ref().expect("audit enabled");
+        assert!(!log.truncated, "sync={sync}");
+        let violations = audit(log, !report.truncated);
+        assert!(violations.is_empty(), "sync={sync}: {violations:?}");
+        let forced = audit(log, true);
+        assert_eq!(
+            end_of_log_checks(&forced),
+            [true, true, false],
+            "sync={sync}"
+        );
+    }
+}
+
+/// A run whose audit log hits its capacity audits clean as it stands: the
+/// log's own `truncated` flag skips the end-of-log checks. The capped log is
+/// exactly a prefix of the full log of the same run; replayed as a complete
+/// log, that prefix fires all three end-of-log checks.
+#[test]
+fn runs_cut_by_the_audit_capacity_audit_clean() {
+    for sync in [false, true] {
+        let full = flood_run(sync, u64::MAX, 1 << 20).audit_log.unwrap();
+        // Cut right after the first delivery, before the wake it causes.
+        let cut = 1 + full
+            .events()
+            .iter()
+            .position(|e| matches!(e, AuditEvent::Deliver { .. }))
+            .unwrap();
+        let report = flood_run(sync, u64::MAX, cut);
+        assert!(!report.truncated, "sync={sync}");
+        let log = report.audit_log.as_ref().expect("audit enabled");
+        assert!(log.truncated, "sync={sync}");
+        assert_eq!(log.events(), &full.events()[..cut], "sync={sync}");
+        let violations = audit(log, !report.truncated);
+        assert!(violations.is_empty(), "sync={sync}: {violations:?}");
+        let mut prefix = AuditLog::with_capacity(cut);
+        for &event in log.events() {
+            prefix.record(event);
+        }
+        let forced = audit(&prefix, true);
+        assert_eq!(
+            end_of_log_checks(&forced),
+            [true, true, true],
+            "sync={sync}"
+        );
+    }
 }

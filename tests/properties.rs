@@ -12,6 +12,56 @@ use wakeup::graph::{algo, generators, Graph, NodeId};
 use wakeup::sim::adversary::{RandomDelay, WakeSchedule};
 use wakeup::sim::Network;
 
+/// Audits one single-wake run of each engine on `g` with the standard
+/// invariant set: `DfsRank` and `FloodAsync` under random delays seeded
+/// `delay_seed`, and `FloodSync`. Truncated runs skip the end-of-log checks.
+fn assert_runs_audit_clean(g: Graph, seed: u64, delay_seed: u64) {
+    use wakeup::core::flooding::FloodSync;
+    use wakeup::sim::audit::{AuditScope, Auditor};
+    use wakeup::sim::{AsyncConfig, AsyncEngine, RunReport, SyncConfig, SyncEngine};
+    let net = Network::kt1(g, seed);
+    let wake = WakeSchedule::single(NodeId::new(seed as usize % net.n()));
+    let check = |engine: &str, report: RunReport| {
+        let log = report.audit_log.as_ref().expect("auditing enabled");
+        let scope = AuditScope::new(&net).with_completed(!report.truncated);
+        let violations = Auditor::standard(scope).run(log);
+        assert!(
+            violations.is_empty(),
+            "{engine} seed {seed}: {violations:?}"
+        );
+    };
+    let config = AsyncConfig {
+        seed,
+        audit_capacity: Some(1 << 20),
+        ..AsyncConfig::default()
+    };
+    let mut delays = RandomDelay::new(delay_seed);
+    let engine = AsyncEngine::<DfsRank>::new(&net, config.clone());
+    check("dfs-rank", engine.run_with(&wake, &mut delays));
+    let mut delays = RandomDelay::new(delay_seed);
+    let engine = AsyncEngine::<FloodAsync>::new(&net, config);
+    check("flood-async", engine.run_with(&wake, &mut delays));
+    let config = SyncConfig {
+        seed,
+        audit_capacity: Some(1 << 20),
+        ..SyncConfig::default()
+    };
+    check(
+        "flood-sync",
+        SyncEngine::<FloodSync>::new(&net, config).run(&wake),
+    );
+}
+
+/// The five fixed random-delay seeds on a 30-node random graph, as fixed
+/// inputs alongside the generated ones above.
+#[test]
+fn fixed_random_delay_runs_audit_clean() {
+    for seed in 0..5 {
+        let g = generators::erdos_renyi_connected(30, 0.2, 3).unwrap();
+        assert_runs_audit_clean(g, seed, seed);
+    }
+}
+
 /// Strategy: a connected graph with 2..=40 nodes.
 fn connected_graph() -> impl Strategy<Value = Graph> {
     (2usize..40, 0u64..1000, 0u8..4).prop_map(|(n, seed, kind)| match kind {
@@ -198,24 +248,7 @@ proptest! {
         g in connected_graph(),
         seed in 0u64..100,
     ) {
-        use wakeup::sim::invariants::check_standard_invariants;
-        use wakeup::sim::AsyncConfig;
-        use wakeup::sim::AsyncEngine;
-        let n = g.n();
-        let net = Network::kt1(g, seed);
-        let config = AsyncConfig {
-            seed,
-            trace_capacity: Some(1 << 20),
-            ..AsyncConfig::default()
-        };
-        let mut delays = RandomDelay::new(seed ^ 0xF00D);
-        let report = AsyncEngine::<DfsRank>::new(&net, config).run_with(
-            &WakeSchedule::single(NodeId::new(seed as usize % n)),
-            &mut delays,
-        );
-        let trace = report.trace.as_ref().unwrap();
-        let violations = check_standard_invariants(trace, &net, !report.truncated);
-        prop_assert!(violations.is_empty(), "{:?}", violations);
+        assert_runs_audit_clean(g, seed, seed ^ 0xF00D);
     }
 
     #[test]
