@@ -16,7 +16,7 @@ fn bench(c: &mut Criterion) {
         let report = row.report.clone().expect("table1 specs carry reports");
         let mut group = c.benchmark_group(row.name.clone());
         for &n in &report.sizes {
-            let cell = row.at_size(n);
+            let cell = row.at_size(n).expect("resize table1 row");
             let point = run_cell(cache, &cell);
             eprintln!(
                 "{} n={n:>4}: messages={:>8} time={:>8.1} advice(max/avg)={}/{:.1} ratio={:.3}",

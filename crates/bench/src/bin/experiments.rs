@@ -21,6 +21,7 @@ use wakeup_core::harness;
 use wakeup_graph::families::ClassGk;
 use wakeup_graph::{generators, NodeId};
 use wakeup_lb::{fragments, thm1, thm2};
+use wakeup_scenario::{ProtocolSpec, ScenarioSpec};
 use wakeup_sim::adversary::WakeSchedule;
 use wakeup_sim::Network;
 
@@ -54,17 +55,26 @@ fn print_sweep(title: &str, claim: &str, points: &[RowPoint]) {
     }
 }
 
-/// Prints one Table 1 row sweep from its corpus spec: the `report` block
-/// carries the section title, the paper claim, and the sweep sizes.
-fn print_spec_sweep(spec: &wakeup_scenario::ScenarioSpec) {
+/// Prints one Table 1 row sweep from its corpus spec at `sizes`, under the
+/// paper claim its `report` block carries.
+fn print_spec_sweep(spec: &ScenarioSpec, title: &str, sizes: &[usize]) {
     let report = spec.report.as_ref().expect("table1 specs carry reports");
+    let cells = sizes
+        .iter()
+        .map(|&n| spec.at_size(n))
+        .collect::<Result<Vec<_>, _>>()
+        .expect("resize table1 rows to their sweep sizes");
     print_sweep(
-        &report.experiments_title,
+        title,
         &report.experiments_claim,
-        &par_sweep(&report.sizes, |&n| {
-            run_cell(artifacts::global(), &spec.at_size(n))
-        }),
+        &par_sweep(&cells, |cell| run_cell(artifacts::global(), cell)),
     );
+}
+
+/// A corpus row at its own `report.sizes`.
+fn print_row_sweep(spec: &ScenarioSpec) {
+    let report = spec.report.as_ref().expect("table1 specs carry reports");
+    print_spec_sweep(spec, &report.experiments_title, &report.sizes);
 }
 
 fn main() {
@@ -72,7 +82,7 @@ fn main() {
         "# Experimental record (auto-generated by `cargo run -p wakeup-bench --bin experiments`)"
     );
 
-    let rows: Vec<wakeup_scenario::ScenarioSpec> = wakeup_scenario::corpus::table1()
+    let rows: Vec<ScenarioSpec> = wakeup_scenario::corpus::table1()
         .expect("load scenarios/table1 corpus")
         .into_iter()
         .map(|(_, spec)| spec)
@@ -80,7 +90,7 @@ fn main() {
     // Rows 0..3 (flooding, Thm 3, Thm 4) print before the [FIP06] aside,
     // the advice rows after it — the record's historical ordering.
     for spec in &rows[..3] {
-        print_spec_sweep(spec);
+        print_row_sweep(spec);
     }
     {
         // The original [FIP06] scheme as the historical baseline: same O(n)
@@ -125,7 +135,19 @@ fn main() {
     }
 
     for spec in &rows[3..] {
-        print_spec_sweep(spec);
+        print_row_sweep(spec);
+    }
+    // The tree-advice rows past their `report.sizes` (perfbench's table1
+    // workload reads those, so they stay small).
+    for spec in &rows {
+        if matches!(
+            spec.protocol,
+            ProtocolSpec::Cor1 | ProtocolSpec::Thm5a | ProtocolSpec::Thm5b
+        ) {
+            let report = spec.report.as_ref().expect("table1 specs carry reports");
+            let title = format!("{}, n = 1024–8192", report.experiments_title);
+            print_spec_sweep(spec, &title, &[1024, 2048, 4096, 8192]);
+        }
     }
 
     // ---- Lower bound: Theorem 1 ----

@@ -31,7 +31,7 @@
 //! as it diffs 1 vs 4 sweep threads.
 
 use wakeup_bench::{artifacts, par_sweep, run_cell};
-use wakeup_scenario::{corpus, ScenarioSpec};
+use wakeup_scenario::{corpus, ScenarioSpec, SpecError};
 
 struct Row {
     label: String,
@@ -81,14 +81,17 @@ fn main() {
     // Measure every (row, n) cell as one flat parallel batch — par_sweep
     // returns results in input (row-major) order, so the printed table is
     // byte-identical to the sequential run at any WAKEUP_THREADS.
-    let cells: Vec<(usize, usize)> = rows
+    let cells: Vec<(usize, ScenarioSpec)> = rows
         .iter()
         .enumerate()
-        .flat_map(|(i, row)| row.sizes.iter().map(move |&n| (i, n)))
-        .collect();
-    let points = par_sweep(&cells, |&(i, n)| {
-        run_cell(artifacts::global(), &rows[i].spec.at_size(n))
-    });
+        .flat_map(|(i, row)| {
+            row.sizes
+                .iter()
+                .map(move |&n| Ok((i, row.spec.at_size(n)?)))
+        })
+        .collect::<Result<_, SpecError>>()
+        .expect("resize table1 rows to their sweep sizes");
+    let points = par_sweep(&cells, |(_, cell)| run_cell(artifacts::global(), cell));
 
     println!("# Measured Table 1 (sparse G(n,p), avg degree ≈ 8; seeds fixed)\n");
     println!(

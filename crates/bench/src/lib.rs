@@ -331,7 +331,7 @@ mod tests {
         let cache = ArtifactCache::new();
         for (_, row) in corpus::table1().unwrap() {
             let n = if row.protocol.is_sync() { 32 } else { 48 };
-            let point = run_cell(&cache, &row.at_size(n));
+            let point = run_cell(&cache, &row.at_size(n).unwrap());
             assert_eq!(point.n, n);
             assert!(point.messages > 0);
             assert!(point.ratio().is_finite());
@@ -359,7 +359,7 @@ mod tests {
     #[test]
     fn cached_scheme_measure_matches_cold_run() {
         let (n, seed) = (48usize, 7u64);
-        let spec = table1_row(ProtocolSpec::Thm5b).at_size(n);
+        let spec = table1_row(ProtocolSpec::Thm5b).at_size(n).unwrap();
         assert_eq!(spec.graph, GraphSpec::Sparse { n, seed });
         // Cold: build everything from scratch, advise inline.
         let cold_net = wakeup_sim::Network::kt0(run::build_graph(&spec.graph), seed);
@@ -392,7 +392,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let cells = [ProtocolSpec::Cor2, ProtocolSpec::FastWakeUp]
-            .map(|protocol| table1_row(protocol).at_size(64));
+            .map(|protocol| table1_row(protocol).at_size(64).unwrap());
         let baker = ArtifactCache::with_store(&dir);
         for cell in &cells {
             let (net_key, advice_key) = spec_artifact_keys(cell).unwrap();
@@ -429,7 +429,7 @@ mod tests {
         let sizes = [24usize, 32, 48, 64];
         let flooding = table1_row(ProtocolSpec::Flooding);
         let cache = ArtifactCache::new();
-        let cell = |&n: &usize| run_cell(&cache, &flooding.at_size(n));
+        let cell = |&n: &usize| run_cell(&cache, &flooding.at_size(n).unwrap());
         let seq = par_sweep_with(1, &sizes, cell);
         for threads in [2, 3, 16] {
             let par = par_sweep_with(threads, &sizes, cell);

@@ -18,9 +18,10 @@ pub fn eccentricity(graph: &Graph, v: NodeId) -> Option<usize> {
     Some(ecc)
 }
 
-/// Exact diameter via BFS from every node; `None` if disconnected.
+/// Exact diameter: the largest eccentricity; `None` if disconnected.
 ///
-/// Runs in `O(n·m)`; all graph sizes in the experiments keep this cheap.
+/// Sweeps the sources 64 at a time through one bit-parallel BFS per batch,
+/// so it costs `O(⌈n/64⌉·(n+m))` per BFS level swept.
 ///
 /// # Example
 ///
@@ -31,12 +32,13 @@ pub fn eccentricity(graph: &Graph, v: NodeId) -> Option<usize> {
 /// # Ok::<(), wakeup_graph::GraphError>(())
 /// ```
 pub fn diameter(graph: &Graph) -> Option<usize> {
-    if graph.n() == 0 {
-        return Some(0);
-    }
+    let mut sweep = Sweep::new(graph.n());
     let mut best = 0usize;
-    for v in graph.nodes() {
-        best = best.max(eccentricity(graph, v)?);
+    for base in (0..graph.n()).step_by(LANES) {
+        best = sweep
+            .eccentricities(graph, base, None)?
+            .into_iter()
+            .fold(best, usize::max);
     }
     Some(best)
 }
@@ -57,10 +59,15 @@ pub fn double_sweep_lower_bound(graph: &Graph, start: NodeId) -> Option<usize> {
 }
 
 /// The radius (minimum eccentricity) and a center node attaining it, or
-/// `None` for disconnected graphs.
+/// `None` for disconnected graphs. Ties go to the lowest node id.
 ///
 /// Rooting a BFS tree at a center halves the worst-case tree height compared
 /// to an arbitrary root, which is why the advising schemes default to it.
+///
+/// Sweeps the sources 64 at a time in id order through one bit-parallel BFS
+/// per batch, so it costs `O(⌈n/64⌉·(n+m))` per BFS level swept. Every batch
+/// after the first stops at the best radius so far, since a source still
+/// spreading there can no longer win.
 ///
 /// # Example
 ///
@@ -73,14 +80,91 @@ pub fn double_sweep_lower_bound(graph: &Graph, start: NodeId) -> Option<usize> {
 /// # Ok::<(), wakeup_graph::GraphError>(())
 /// ```
 pub fn center(graph: &Graph) -> Option<(usize, NodeId)> {
+    let mut sweep = Sweep::new(graph.n());
     let mut best: Option<(usize, NodeId)> = None;
-    for v in graph.nodes() {
-        let ecc = eccentricity(graph, v)?;
-        if best.is_none_or(|(b, _)| ecc < b) {
-            best = Some((ecc, v));
+    for base in (0..graph.n()).step_by(LANES) {
+        // The first batch runs to the end, which also checks connectivity.
+        let ecc = sweep.eccentricities(graph, base, best.map(|(radius, _)| radius))?;
+        for (i, e) in ecc.into_iter().enumerate() {
+            if best.is_none_or(|(radius, _)| e < radius) {
+                best = Some((e, NodeId::new(base + i)));
+            }
         }
     }
     best
+}
+
+/// Sources per batch: one bit of a `u64` word each.
+const LANES: usize = 64;
+
+/// Scratch words of a bit-parallel multi-source BFS (Then et al., "The More
+/// the Merrier", VLDB 2015): bit `i` of a node's word belongs to source
+/// `base + i`.
+struct Sweep {
+    seen: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+}
+
+impl Sweep {
+    fn new(n: usize) -> Sweep {
+        Sweep {
+            seen: vec![0; n],
+            frontier: vec![0; n],
+            next: vec![0; n],
+        }
+    }
+
+    /// Eccentricities of the sources `base..min(base + 64, n)`, in id order.
+    ///
+    /// With a `cutoff` the sweep stops after that many levels, and each
+    /// value is `min(eccentricity, cutoff)`. Without one it runs to the end
+    /// and returns `None` if some source does not reach every node.
+    fn eccentricities(
+        &mut self,
+        graph: &Graph,
+        base: usize,
+        cutoff: Option<usize>,
+    ) -> Option<Vec<usize>> {
+        let width = LANES.min(graph.n() - base);
+        let all = u64::MAX >> (LANES - width);
+        self.seen.fill(0);
+        self.frontier.fill(0);
+        for i in 0..width {
+            self.seen[base + i] = 1 << i;
+            self.frontier[base + i] = 1 << i;
+        }
+        let mut ecc = vec![0usize; width];
+        let mut level = 0usize;
+        while cutoff.is_none_or(|c| level < c) {
+            let mut spreading = 0u64;
+            for (v, (seen, next)) in self.seen.iter_mut().zip(&mut self.next).enumerate() {
+                let mut reached = 0u64;
+                if *seen != all {
+                    for u in graph.neighbors(NodeId::new(v)) {
+                        reached |= self.frontier[u.index()];
+                    }
+                    reached &= !*seen;
+                    *seen |= reached;
+                }
+                *next = reached;
+                spreading |= reached;
+            }
+            if spreading == 0 {
+                break;
+            }
+            level += 1;
+            while spreading != 0 {
+                ecc[spreading.trailing_zeros() as usize] = level;
+                spreading &= spreading - 1;
+            }
+            std::mem::swap(&mut self.frontier, &mut self.next);
+        }
+        if cutoff.is_none() && self.seen.iter().any(|&w| w != all) {
+            return None;
+        }
+        Some(ecc)
+    }
 }
 
 /// The awake distance ρ_awk(G, A₀): the maximum over nodes `u` of the hop
@@ -202,6 +286,101 @@ mod tests {
     fn center_disconnected_none() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert_eq!(center(&g), None);
+    }
+
+    /// The definition, one BFS per node: the lowest-id node of least
+    /// eccentricity, or `None` if some node misses another.
+    fn reference_center(graph: &Graph) -> Option<(usize, NodeId)> {
+        let mut best: Option<(usize, NodeId)> = None;
+        for v in graph.nodes() {
+            let ecc = eccentricity(graph, v)?;
+            if best.is_none_or(|(b, _)| ecc < b) {
+                best = Some((ecc, v));
+            }
+        }
+        best
+    }
+
+    /// The definition, one BFS per node: the largest eccentricity.
+    fn reference_diameter(graph: &Graph) -> Option<usize> {
+        graph
+            .nodes()
+            .try_fold(0, |d, v| Some(d.max(eccentricity(graph, v)?)))
+    }
+
+    fn assert_matches_reference(graph: &Graph, what: &str) {
+        assert_eq!(center(graph), reference_center(graph), "center of {what}");
+        assert_eq!(
+            diameter(graph),
+            reference_diameter(graph),
+            "diameter of {what}"
+        );
+    }
+
+    /// Sizes on both sides of every 64-source word boundary up to 513.
+    const WORD_EDGES: [usize; 9] = [1, 2, 63, 64, 65, 127, 128, 129, 513];
+
+    #[test]
+    fn sweeps_match_reference_on_paths_cycles_and_stars() {
+        for n in WORD_EDGES {
+            assert_matches_reference(&generators::path(n).unwrap(), &format!("path {n}"));
+            assert_matches_reference(&generators::star(n).unwrap(), &format!("star {n}"));
+            if n >= 3 {
+                assert_matches_reference(&generators::cycle(n).unwrap(), &format!("cycle {n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn sweeps_match_reference_on_random_graphs() {
+        for n in WORD_EDGES {
+            for p in [0.01, 0.05, 0.3] {
+                for seed in [1, 7, 42] {
+                    let g = generators::erdos_renyi_connected(n, p, seed).unwrap();
+                    assert_matches_reference(&g, &format!("G({n}, {p}) seed {seed}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn center_tie_goes_to_lowest_id_across_batches() {
+        // Nodes 63 and 64 of a 128-node path both have eccentricity 64 and
+        // sit in different batches; the later one must not displace 63.
+        let g = generators::path(128).unwrap();
+        assert_eq!(center(&g), Some((64, NodeId::new(63))));
+        assert_matches_reference(&g, "path 128");
+        // A strictly better center in a later batch does replace the best.
+        let g = generators::path(201).unwrap();
+        assert_eq!(center(&g), Some((100, NodeId::new(100))));
+        // All nodes of a cycle tie: node 0 wins.
+        let g = generators::cycle(150).unwrap();
+        assert_eq!(center(&g), Some((75, NodeId::new(0))));
+    }
+
+    #[test]
+    fn sweeps_detect_a_component_past_the_first_batch() {
+        // A path on 0..100 and another on 100..130: the first batch's
+        // sources never reach the second component.
+        let edges: Vec<(usize, usize)> =
+            (1..130).filter(|&i| i != 100).map(|i| (i - 1, i)).collect();
+        let g = Graph::from_edges(130, &edges).unwrap();
+        assert_eq!(center(&g), None);
+        assert_eq!(diameter(&g), None);
+        assert_matches_reference(&g, "two paths");
+        // One isolated node at the very end.
+        let edges: Vec<(usize, usize)> = (1..129).map(|i| (i - 1, i)).collect();
+        let g = Graph::from_edges(130, &edges).unwrap();
+        assert_eq!(center(&g), None);
+        assert_eq!(diameter(&g), None);
+    }
+
+    #[test]
+    fn sweeps_on_the_empty_graph() {
+        let g = Graph::empty(0);
+        assert_eq!(center(&g), None);
+        assert_eq!(diameter(&g), Some(0));
+        assert_matches_reference(&g, "empty graph");
     }
 
     use crate::Graph;

@@ -545,20 +545,27 @@ impl ScenarioSpec {
     /// report binaries sweep a Table 1 row over its `report.sizes`. Every
     /// other field is kept, so validate the result before running it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics for the families whose size is not a single node count
-    /// (`grid`, `torus`, `class-g`).
-    pub fn at_size(&self, n: usize) -> ScenarioSpec {
+    /// [`SpecError::Incompatible`] for the families whose size is not a
+    /// single node count (`grid`, `torus`, `class-g`).
+    pub fn at_size(&self, n: usize) -> Result<ScenarioSpec, SpecError> {
         let mut spec = self.clone();
-        match &mut spec.graph {
+        let family = match &mut spec.graph {
             GraphSpec::Sparse { n: size, .. }
             | GraphSpec::Complete { n: size }
             | GraphSpec::Gnp { n: size, .. }
-            | GraphSpec::PowerLaw { n: size, .. } => *size = n,
-            other => panic!("graph family {other:?} has no single node-count parameter"),
-        }
-        spec
+            | GraphSpec::PowerLaw { n: size, .. } => {
+                *size = n;
+                return Ok(spec);
+            }
+            GraphSpec::Grid { .. } => "grid",
+            GraphSpec::Torus { .. } => "torus",
+            GraphSpec::ClassG { .. } => "class-g",
+        };
+        Err(SpecError::Incompatible {
+            detail: format!("graph family \"{family}\" has no single node count to resize"),
+        })
     }
 
     /// Re-checks every cross-field invariant. `parse` calls this; generated
@@ -1178,6 +1185,26 @@ mod tests {
         let reparsed = ScenarioSpec::parse(&canon).unwrap();
         assert_eq!(spec, reparsed);
         assert_eq!(reparsed.to_canonical_json(), canon);
+    }
+
+    /// `at_size` resizes the single-count families and gives a typed error,
+    /// not a panic, for the ones sized by more than a node count.
+    #[test]
+    fn at_size_resizes_or_rejects_the_family() {
+        let spec = ScenarioSpec::parse(&minimal()).unwrap();
+        assert_eq!(spec.at_size(40).unwrap().graph.node_count(), 40);
+        for graph in [
+            GraphSpec::Grid { rows: 4, cols: 4 },
+            GraphSpec::Torus { rows: 4, cols: 4 },
+            GraphSpec::ClassG { parameter: 4 },
+        ] {
+            let spec = ScenarioSpec {
+                graph,
+                ..spec.clone()
+            };
+            let err = spec.at_size(40).unwrap_err();
+            assert!(matches!(err, SpecError::Incompatible { .. }), "{err}");
+        }
     }
 
     /// The engine block's shard count is capped at the simulator's

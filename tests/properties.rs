@@ -78,6 +78,16 @@ fn connected_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Strategy: a connected graph with 1..=200 nodes, so the 64-source batches
+/// of `algo::center` end on and off word boundaries.
+fn batched_graph() -> impl Strategy<Value = Graph> {
+    (1usize..200, 0u64..1000, 0u8..3).prop_map(|(n, seed, kind)| match kind {
+        0 => generators::random_tree(n, seed).unwrap(),
+        1 => generators::erdos_renyi_connected(n, 0.04, seed).unwrap(),
+        _ => generators::path(n).unwrap(),
+    })
+}
+
 /// Strategy: a nonempty awake set for a graph of size `n`.
 fn awake_set(n: usize) -> impl Strategy<Value = Vec<NodeId>> {
     proptest::collection::btree_set(0..n, 1..=n.min(6))
@@ -384,6 +394,14 @@ proptest! {
                 "trial {}", trial
             );
         }
+    }
+
+    #[test]
+    fn center_attains_the_least_eccentricity(g in batched_graph()) {
+        let (radius, c) = algo::center(&g).expect("connected");
+        let least = g.nodes().map(|v| algo::eccentricity(&g, v).unwrap()).min();
+        prop_assert_eq!(Some(radius), least);
+        prop_assert_eq!(algo::eccentricity(&g, c), Some(radius));
     }
 
     #[test]

@@ -197,7 +197,7 @@ fn every_table1_spec_field_reaches_the_measurement() {
         .collect();
     for (i, row) in rows.iter().enumerate() {
         let n = row.report.as_ref().unwrap().sizes[0];
-        let cell = row.at_size(n);
+        let cell = row.at_size(n).unwrap();
         let base = fingerprint(&run_cell(&cache, &cell));
 
         let next_protocol = rows[(i + 1) % rows.len()].protocol;
