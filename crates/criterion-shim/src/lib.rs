@@ -7,6 +7,10 @@
 //! wall-clock runner: per benchmark it warms up, runs timed samples, and
 //! prints min/mean/median nanoseconds per iteration — no statistical
 //! regression analysis, HTML reports, or CLI filtering.
+//!
+//! Like criterion, `cargo bench -- --test` runs every routine once
+//! without timing it: a smoke test that each bench's set-up and routine
+//! still run to completion.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -22,6 +26,7 @@ pub struct Criterion {
     sample_size: usize,
     measurement_time: Duration,
     warm_up_time: Duration,
+    test_mode: bool,
 }
 
 impl Default for Criterion {
@@ -30,6 +35,7 @@ impl Default for Criterion {
             sample_size: 10,
             measurement_time: Duration::from_secs(2),
             warm_up_time: Duration::from_millis(300),
+            test_mode: false,
         }
     }
 }
@@ -50,6 +56,13 @@ impl Criterion {
     /// Warm-up budget before sampling starts.
     pub fn warm_up_time(mut self, d: Duration) -> Criterion {
         self.warm_up_time = d;
+        self
+    }
+
+    /// Applies the command-line arguments: `--test` runs each routine once
+    /// and skips timing; every other argument is ignored.
+    pub fn configure_from_args(mut self) -> Criterion {
+        self.test_mode = std::env::args().skip(1).any(|arg| arg == "--test");
         self
     }
 
@@ -150,8 +163,14 @@ pub struct Bencher {
 impl Bencher {
     /// Times the routine: warm-up, then `sample_size` timed samples within
     /// the measurement budget. Iteration counts per sample auto-scale so
-    /// sub-microsecond routines still get stable numbers.
+    /// sub-microsecond routines still get stable numbers. In test mode the
+    /// routine runs once, untimed.
     pub fn iter<O>(&mut self, mut routine: impl FnMut() -> O) {
+        self.samples.clear();
+        if self.config.test_mode {
+            black_box(routine());
+            return;
+        }
         // Warm-up, and calibrate iterations per sample from it.
         let warm_start = Instant::now();
         let mut warm_iters = 0u64;
@@ -163,7 +182,6 @@ impl Bencher {
         let budget = self.config.measurement_time.as_secs_f64() / self.config.sample_size as f64;
         let iters_per_sample = ((budget / per_iter.max(1e-9)) as u64).clamp(1, 1 << 24);
 
-        self.samples.clear();
         for _ in 0..self.config.sample_size {
             let start = Instant::now();
             for _ in 0..iters_per_sample {
@@ -175,6 +193,10 @@ impl Bencher {
     }
 
     fn report(&self, group: &str, label: &str) {
+        if self.config.test_mode {
+            println!("{group}/{label}: ok (test mode, ran once)");
+            return;
+        }
         if self.samples.is_empty() {
             println!("{group}/{label}: no samples (bencher closure never called iter)");
             return;
@@ -211,7 +233,7 @@ fn fmt_nanos(ns: f64) -> String {
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion: $crate::Criterion = $config;
+            let mut criterion: $crate::Criterion = $config.configure_from_args();
             $($target(&mut criterion);)+
         }
     };
@@ -229,7 +251,8 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            // cargo bench passes harness flags (e.g. --bench); ignore them.
+            // cargo bench passes harness flags (e.g. --bench); each group
+            // reads only --test, through `Criterion::configure_from_args`.
             $($group();)+
         }
     };
@@ -255,6 +278,24 @@ mod tests {
         });
         group.finish();
         assert!(calls > 0);
+    }
+
+    #[test]
+    fn test_mode_runs_the_routine_once_untimed() {
+        let mut c = Criterion {
+            test_mode: true,
+            ..Criterion::default()
+        };
+        let mut group = c.benchmark_group("shim");
+        let mut calls = 0u64;
+        group.bench_function("once", |b| {
+            b.iter(|| {
+                calls += 1;
+                black_box(calls)
+            })
+        });
+        group.finish();
+        assert_eq!(calls, 1);
     }
 
     #[test]

@@ -42,6 +42,20 @@ const GEOMETRIC_SKIP_MIN_N: usize = 1_024;
 ///
 /// Fails for `n == 0` or `p` outside `[0, 1]`.
 pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
+    let mut b = GraphBuilder::new(n);
+    sample_gnp(n, p, seed, |i, j| b.add_edge(i, j))?;
+    Ok(b.build())
+}
+
+/// Draws the edges of [`erdos_renyi`]`(n, p, seed)` and hands each to
+/// `emit` as `(i, j)` with `i < j`, in increasing canonical order (so a
+/// [`GraphBuilder`] fed from it never hashes).
+fn sample_gnp(
+    n: usize,
+    p: f64,
+    seed: u64,
+    mut emit: impl FnMut(usize, usize) -> Result<(), GraphError>,
+) -> Result<(), GraphError> {
     if n == 0 {
         return Err(invalid("G(n,p) requires at least one node"));
     }
@@ -49,12 +63,11 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
         return Err(invalid(format!("edge probability {p} outside [0, 1]")));
     }
     let mut rng = Xoshiro256::seed_from(seed);
-    let mut b = GraphBuilder::new(n);
     if n < GEOMETRIC_SKIP_MIN_N {
         for i in 0..n {
             for j in (i + 1)..n {
                 if rng.bernoulli(p) {
-                    b.add_edge(i, j)?;
+                    emit(i, j)?;
                 }
             }
         }
@@ -81,7 +94,7 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
                 }
             }
             if i + 1 < n {
-                b.add_edge(i, j)?;
+                emit(i, j)?;
                 j += 1;
                 if j == n {
                     i += 1;
@@ -90,37 +103,77 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
             }
         }
     }
-    Ok(b.build())
+    Ok(())
 }
 
 /// Connected Erdős–Rényi graph: samples `G(n, p)` and, if disconnected, adds
 /// one random edge between consecutive components (a minimal connectivity
 /// patch that preserves the degree distribution up to +1 per component).
 ///
+/// Components are numbered in increasing order of their smallest node, as
+/// [`crate::algo::connected_components`] numbers them. Patch `c` joins a
+/// node drawn from component `c − 1` to one drawn from component `c`, from
+/// the `seed ^ 0xC0FF_EE00` stream. The graph is built once: the patches
+/// join distinct components, so none repeats a sampled edge or another
+/// patch, and merged into the sorted sample they reach the builder in
+/// canonical order.
+///
 /// # Errors
 ///
 /// Same conditions as [`erdos_renyi`].
 pub fn erdos_renyi_connected(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
-    let g = erdos_renyi(n, p, seed)?;
-    let (labels, k) = crate::algo::connected_components(&g);
-    if k <= 1 {
-        return Ok(g);
-    }
-    let mut rng = Xoshiro256::seed_from(seed ^ 0xC0FF_EE00);
+    let mut edges = Vec::new();
+    sample_gnp(n, p, seed, |i, j| {
+        edges.push((i, j));
+        Ok(())
+    })?;
+    let (labels, k) = component_labels(n, &edges);
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
     for (v, &l) in labels.iter().enumerate() {
         members[l].push(v);
     }
-    let mut b = GraphBuilder::new(n);
-    for &(u, v) in g.edges() {
-        b.add_edge(u.index(), v.index())?;
-    }
+    let mut rng = Xoshiro256::seed_from(seed ^ 0xC0FF_EE00);
     for c in 1..k {
         let u = members[c - 1][rng.index(members[c - 1].len())];
         let v = members[c][rng.index(members[c].len())];
-        b.add_edge_if_absent(u, v)?;
+        edges.push((u.min(v), u.max(v)));
     }
-    Ok(b.build())
+    // A sorted sample plus a short tail of patches: the run-merging
+    // stable sort restores canonical order in linear time.
+    edges.sort();
+    Graph::from_edges(n, &edges)
+}
+
+/// Component label of every node of the graph on `n` nodes with the given
+/// edges, and the component count. Labels go in increasing order of each
+/// component's smallest node, as in [`crate::algo::connected_components`].
+fn component_labels(n: usize, edges: &[(usize, usize)]) -> (Vec<usize>, usize) {
+    // Union–find that always hangs the larger root under the smaller, so
+    // each root is its component's smallest node.
+    fn root(parent: &mut [usize], mut v: usize) -> usize {
+        while parent[v] != v {
+            parent[v] = parent[parent[v]];
+            v = parent[v];
+        }
+        v
+    }
+    let mut parent: Vec<usize> = (0..n).collect();
+    for &(u, v) in edges {
+        let (ru, rv) = (root(&mut parent, u), root(&mut parent, v));
+        parent[ru.max(rv)] = ru.min(rv);
+    }
+    let mut labels = vec![0usize; n];
+    let mut k = 0;
+    for v in 0..n {
+        let r = root(&mut parent, v);
+        if r == v {
+            labels[v] = k;
+            k += 1;
+        } else {
+            labels[v] = labels[r];
+        }
+    }
+    (labels, k)
 }
 
 /// Uniform random labelled tree on `n` nodes via a Prüfer-style attachment
@@ -395,6 +448,54 @@ mod tests {
                 g.n(),
                 g.m()
             );
+        }
+    }
+
+    /// The two-pass `erdos_renyi_connected` this module used to ship: label
+    /// the built sample's components, then rebuild the sample plus the
+    /// patch edges through a fresh builder.
+    fn two_pass_connected(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
+        let g = erdos_renyi(n, p, seed)?;
+        let (labels, k) = algo::connected_components(&g);
+        if k <= 1 {
+            return Ok(g);
+        }
+        let mut rng = Xoshiro256::seed_from(seed ^ 0xC0FF_EE00);
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
+        for (v, &l) in labels.iter().enumerate() {
+            members[l].push(v);
+        }
+        let mut b = GraphBuilder::new(n);
+        for &(u, v) in g.edges() {
+            b.add_edge(u.index(), v.index())?;
+        }
+        for c in 1..k {
+            let u = members[c - 1][rng.index(members[c - 1].len())];
+            let v = members[c][rng.index(members[c].len())];
+            b.add_edge_if_absent(u, v)?;
+        }
+        Ok(b.build())
+    }
+
+    /// The one-pass connected sampler gives the two-pass graph (or error)
+    /// on both sides of the skip-sampling threshold, from one component to
+    /// hundreds (p = 1.5/n).
+    #[test]
+    fn connected_variant_matches_two_pass_reference() {
+        for n in [2usize, 16, 97, 512, 1023, 1024, 3000, 16384] {
+            for p in [8.0 / n as f64, 1.5 / n as f64, 0.03] {
+                for seed in [0, 1, 7, 42] {
+                    let got = erdos_renyi_connected(n, p, seed);
+                    assert_eq!(
+                        got,
+                        two_pass_connected(n, p, seed),
+                        "n={n} p={p} seed={seed}"
+                    );
+                    if let Ok(g) = got {
+                        assert!(algo::is_connected(&g), "n={n} p={p} seed={seed}");
+                    }
+                }
+            }
         }
     }
 

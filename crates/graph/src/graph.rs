@@ -6,6 +6,7 @@
 //! polynomial-range IDs on top (the paper's `id(u)`), so topology code never
 //! needs to care about ID assignments.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -116,6 +117,12 @@ pub enum GraphError {
         /// The other endpoint.
         v: usize,
     },
+    /// An edge endpoint does not fit the `u32` node id ([`NodeId`] stores
+    /// indices up to `u32::MAX`).
+    NodeIdOverflow {
+        /// The offending endpoint index.
+        node: usize,
+    },
     /// A generator was asked for an impossible size (for example a cycle on
     /// fewer than three nodes).
     InvalidSize {
@@ -129,6 +136,9 @@ impl fmt::Display for GraphError {
         match self {
             GraphError::NodeOutOfRange { node, n } => {
                 write!(f, "node index {node} out of range for graph with {n} nodes")
+            }
+            GraphError::NodeIdOverflow { node } => {
+                write!(f, "node index {node} exceeds the u32 node id range")
             }
             GraphError::SelfLoop { node } => write!(f, "self-loop at node {node}"),
             GraphError::DuplicateEdge { u, v } => write!(f, "duplicate edge {{{u}, {v}}}"),
@@ -482,6 +492,17 @@ fn validate_csr(
 
 /// Incremental, validating builder for [`Graph`].
 ///
+/// Duplicate detection follows the order edges arrive in. While each
+/// edge's canonical `(min, max)` key is greater than the one before — as
+/// from the `G(n, p)` samplers, `complete`, `complete_bipartite` or
+/// [`Graph::from_edges`] on a sorted list — no edge can repeat an earlier
+/// one, so [`Self::add_edge`] only validates and pushes, and
+/// [`Self::has_edge`] binary-searches the sorted edges. The first key that
+/// is not greater than its predecessor fills a hash set from the edges so
+/// far, and every later edge is checked against it. In both states a
+/// duplicate is reported at once, in either orientation, and the built
+/// graph depends only on the edge set.
+///
 /// # Example
 ///
 /// ```
@@ -498,7 +519,8 @@ fn validate_csr(
 pub struct GraphBuilder {
     n: usize,
     edges: Vec<(u32, u32)>,
-    seen: std::collections::HashSet<(u32, u32)>,
+    /// `None` while `edges` is strictly increasing; afterwards its edge set.
+    seen: Option<HashSet<(u32, u32)>>,
 }
 
 impl GraphBuilder {
@@ -507,7 +529,7 @@ impl GraphBuilder {
         GraphBuilder {
             n,
             edges: Vec::new(),
-            seen: std::collections::HashSet::new(),
+            seen: None,
         }
     }
 
@@ -523,32 +545,44 @@ impl GraphBuilder {
 
     /// Adds the undirected edge `{u, v}`.
     ///
+    /// Edges added in increasing canonical order cost a comparison and a
+    /// push; after the first one out of order, duplicate detection is
+    /// `O(1)` amortized through a hash set, keeping unordered input (random
+    /// pairings, the lower-bound families, edge-list files) linear in `m`.
+    ///
     /// # Errors
     ///
-    /// Returns [`GraphError::NodeOutOfRange`], [`GraphError::SelfLoop`], or
-    /// [`GraphError::DuplicateEdge`] as appropriate. Duplicate detection is
-    /// `O(1)` amortized via a hash-set shadow, keeping dense generators
-    /// (complete bipartite cores of the lower-bound families) linear in `m`.
+    /// Returns [`GraphError::NodeOutOfRange`], [`GraphError::NodeIdOverflow`],
+    /// [`GraphError::SelfLoop`], or [`GraphError::DuplicateEdge`] as
+    /// appropriate.
     pub fn add_edge(&mut self, u: usize, v: usize) -> Result<(), GraphError> {
-        if u >= self.n {
-            return Err(GraphError::NodeOutOfRange { node: u, n: self.n });
-        }
-        if v >= self.n {
-            return Err(GraphError::NodeOutOfRange { node: v, n: self.n });
-        }
-        if u == v {
+        let (a, b) = (self.endpoint(u)?, self.endpoint(v)?);
+        if a == b {
             return Err(GraphError::SelfLoop { node: u });
         }
-        let key = if u < v {
-            (u as u32, v as u32)
-        } else {
-            (v as u32, u as u32)
+        let key = (a.min(b), a.max(b));
+        let fresh = match &mut self.seen {
+            Some(seen) => seen.insert(key),
+            None if self.edges.last().is_none_or(|&last| last < key) => true,
+            None => {
+                let mut seen: HashSet<(u32, u32)> = self.edges.iter().copied().collect();
+                let fresh = seen.insert(key);
+                self.seen = Some(seen);
+                fresh
+            }
         };
-        if !self.seen.insert(key) {
+        if !fresh {
             return Err(GraphError::DuplicateEdge { u, v });
         }
         self.edges.push(key);
         Ok(())
+    }
+
+    fn endpoint(&self, node: usize) -> Result<u32, GraphError> {
+        if node >= self.n {
+            return Err(GraphError::NodeOutOfRange { node, n: self.n });
+        }
+        u32::try_from(node).map_err(|_| GraphError::NodeIdOverflow { node })
     }
 
     /// Adds `{u, v}` unless it is already present; self-loops are still
@@ -558,7 +592,8 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`].
+    /// Returns [`GraphError::NodeOutOfRange`], [`GraphError::NodeIdOverflow`]
+    /// or [`GraphError::SelfLoop`].
     pub fn add_edge_if_absent(&mut self, u: usize, v: usize) -> Result<bool, GraphError> {
         match self.add_edge(u, v) {
             Ok(()) => Ok(true),
@@ -569,18 +604,22 @@ impl GraphBuilder {
 
     /// Whether `{u, v}` has been added (in either orientation).
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        let key = if u < v {
-            (u as u32, v as u32)
-        } else {
-            (v as u32, u as u32)
+        let (Ok(a), Ok(b)) = (u32::try_from(u), u32::try_from(v)) else {
+            return false;
         };
-        self.seen.contains(&key)
+        let key = (a.min(b), a.max(b));
+        match &self.seen {
+            Some(seen) => seen.contains(&key),
+            None => self.edges.binary_search(&key).is_ok(),
+        }
     }
 
     /// Finalizes the builder into an immutable CSR graph.
     pub fn build(mut self) -> Graph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
+        if self.seen.is_some() {
+            self.edges.sort_unstable();
+        }
+        debug_assert!(self.edges.windows(2).all(|w| w[0] < w[1]));
         let n = self.n;
         let mut degree = vec![0usize; n];
         for &(u, v) in &self.edges {
@@ -594,6 +633,10 @@ impl GraphBuilder {
             acc += d;
             offsets.push(acc);
         }
+        // Scattering the edges in sorted `(min, max)` order fills each
+        // node's slice with its lower neighbours (it is the max endpoint,
+        // min increasing) before its higher ones (it is the min endpoint,
+        // max increasing), so every slice comes out sorted.
         let mut cursor = offsets.clone();
         let mut adjacency = vec![NodeId::default(); acc];
         for &(u, v) in &self.edges {
@@ -602,12 +645,9 @@ impl GraphBuilder {
             adjacency[cursor[v as usize]] = NodeId(u);
             cursor[v as usize] += 1;
         }
-        // Each node's slice is sorted because edges were processed in sorted
-        // order of (min, max) endpoints... which does NOT imply per-node
-        // sortedness for the higher endpoint, so sort each slice explicitly.
-        for v in 0..n {
-            adjacency[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
+        debug_assert!(offsets
+            .windows(2)
+            .all(|w| adjacency[w[0]..w[1]].is_sorted()));
         let edges = self
             .edges
             .into_iter()
@@ -661,20 +701,38 @@ mod tests {
         );
     }
 
+    /// A duplicate is rejected in either orientation both while the
+    /// builder is still in canonical order (the duplicate is then the
+    /// first key out of order) and after an earlier out-of-order edge;
+    /// a rejected edge leaves the builder unchanged.
     #[test]
     fn builder_rejects_duplicates_in_both_orientations() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1).unwrap();
-        assert!(matches!(
-            b.add_edge(0, 1),
-            Err(GraphError::DuplicateEdge { .. })
-        ));
-        assert!(matches!(
-            b.add_edge(1, 0),
-            Err(GraphError::DuplicateEdge { .. })
-        ));
+        let canonical = || {
+            let mut b = GraphBuilder::new(4);
+            b.add_edge(0, 1).unwrap();
+            b.add_edge(1, 2).unwrap();
+            b
+        };
+        for (u, v) in [(0, 1), (1, 0), (1, 2), (2, 1)] {
+            let mut b = canonical();
+            assert_eq!(b.add_edge(u, v), Err(GraphError::DuplicateEdge { u, v }));
+            assert_eq!(b.m(), 2);
+        }
+        let mut b = canonical();
+        b.add_edge(0, 3).unwrap(); // out of order: (0, 3) < (1, 2)
+        for (u, v) in [(0, 1), (1, 0), (2, 1), (0, 3), (3, 0)] {
+            assert_eq!(b.add_edge(u, v), Err(GraphError::DuplicateEdge { u, v }));
+        }
+        b.add_edge(2, 3).unwrap();
+        assert_eq!(b.m(), 4);
+        assert_eq!(
+            b.build(),
+            Graph::from_edges(4, &[(0, 1), (0, 3), (1, 2), (2, 3)]).unwrap()
+        );
     }
 
+    /// `has_edge` and `add_edge_if_absent` agree, in both orientations,
+    /// while edges arrive in canonical order and after they stop doing so.
     #[test]
     fn add_edge_if_absent_reports_insertion() {
         let mut b = GraphBuilder::new(3);
@@ -682,6 +740,90 @@ mod tests {
         assert!(!b.add_edge_if_absent(1, 0).unwrap());
         assert!(b.add_edge_if_absent(1, 2).unwrap());
         assert_eq!(b.build().m(), 2);
+
+        // Canonical run first, then out of order, with repeats throughout.
+        let stream = [
+            (0, 2),
+            (0, 3),
+            (3, 0),
+            (1, 4),
+            (4, 5),
+            (5, 4),
+            (0, 1),
+            (2, 0),
+            (4, 1),
+            (2, 3),
+            (3, 2),
+        ];
+        let mut b = GraphBuilder::new(6);
+        for (u, v) in stream {
+            let present = b.has_edge(u, v);
+            assert_eq!(b.has_edge(v, u), present, "{{{u}, {v}}}");
+            assert_eq!(b.add_edge_if_absent(u, v), Ok(!present), "{{{u}, {v}}}");
+            assert!(b.has_edge(u, v) && b.has_edge(v, u));
+        }
+        assert_eq!(b.m(), 6);
+        assert!(!b.has_edge(1, 5));
+        assert_eq!(
+            b.add_edge_if_absent(2, 2),
+            Err(GraphError::SelfLoop { node: 2 })
+        );
+    }
+
+    /// One edge set, inserted in canonical, reversed and shuffled order
+    /// (with random orientations), builds one graph.
+    #[test]
+    fn insertion_order_does_not_change_the_graph() {
+        let n = 40;
+        let mut sorted = Vec::new();
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if (u * 7 + v * 3) % 5 == 0 || v == u + 1 {
+                    sorted.push((u, v));
+                }
+            }
+        }
+        let reversed: Vec<_> = sorted.iter().rev().copied().collect();
+        let mut rng = crate::rng::Xoshiro256::seed_from(3);
+        let mut shuffled = sorted.clone();
+        rng.shuffle(&mut shuffled);
+        for e in &mut shuffled {
+            if rng.bernoulli(0.5) {
+                *e = (e.1, e.0);
+            }
+        }
+        let g = Graph::from_edges(n, &sorted).unwrap();
+        assert_eq!(g.m(), sorted.len());
+        assert_eq!(Graph::from_edges(n, &reversed).unwrap(), g);
+        assert_eq!(Graph::from_edges(n, &shuffled).unwrap(), g);
+        let canonical: Vec<_> = g
+            .edges()
+            .iter()
+            .map(|&(u, v)| (u.index(), v.index()))
+            .collect();
+        assert_eq!(canonical, sorted);
+    }
+
+    /// Endpoints must fit the `u32` node id: `u32::MAX` is accepted, one
+    /// past it is a typed error instead of a truncated id. Only `add_edge`
+    /// and `has_edge` run, so nothing of size `n` is allocated.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn builder_rejects_ids_past_u32() {
+        let limit = u32::MAX as usize;
+        let mut b = GraphBuilder::new(limit + 2);
+        assert_eq!(b.add_edge(limit, 0), Ok(()));
+        assert!(b.has_edge(0, limit));
+        assert_eq!(
+            b.add_edge(limit + 1, 0),
+            Err(GraphError::NodeIdOverflow { node: limit + 1 })
+        );
+        assert_eq!(
+            b.add_edge(1, limit + 1),
+            Err(GraphError::NodeIdOverflow { node: limit + 1 })
+        );
+        assert!(!b.has_edge(limit + 1, 0));
+        assert_eq!(b.m(), 1);
     }
 
     #[test]
