@@ -95,7 +95,9 @@ pub struct PortAssignment {
     offsets: Buf<usize>,
     // to_neighbor[offsets[v] + p - 1] = neighbor reached via port p at v.
     to_neighbor: Buf<NodeId>,
-    // Node v's range is sorted by neighbor for O(log deg) reverse lookup.
+    // Node v's range is its sorted neighbor list, each neighbor with the
+    // port leading to it: O(log deg) reverse lookup, and the sorted CSR the
+    // engine tables are swept from in linear time.
     from_neighbor: Buf<PortEntry>,
 }
 
@@ -103,49 +105,55 @@ impl PortAssignment {
     /// The canonical mapping: port `i` at `v` leads to `v`'s `i`-th smallest
     /// neighbor. Useful for deterministic tests.
     pub fn canonical(graph: &Graph) -> PortAssignment {
-        Self::from_permutations(graph, |_, d| (0..d).collect())
+        Self::from_permutations(graph, |_, _| {})
     }
 
     /// A uniformly random mapping per node, mutually independent across
     /// nodes — the sampling step of the lower-bound distribution 𝒢.
     pub fn random(graph: &Graph, rng: &mut Xoshiro256) -> PortAssignment {
-        Self::from_permutations(graph, |rng_slot, d| {
+        Self::from_permutations(graph, |rng_slot, perm| {
             // Each node's permutation is drawn from a forked stream so the
             // mapping is independent of iteration order.
-            let mut local = rng.fork(rng_slot as u64 ^ 0x9E37_79B9);
-            local.permutation(d)
+            rng.fork(rng_slot as u64 ^ 0x9E37_79B9).shuffle(perm);
         })
     }
 
+    /// Builds the mapping in one pass over the sorted CSR: `shuffle(v,
+    /// perm)` permutes `perm = 0..deg(v)` in place (one buffer reused for
+    /// every node), and port `i + 1` at `v` then leads to `v`'s
+    /// `perm[i]`-th smallest neighbor. Because the graph's neighbor lists
+    /// are sorted, the reverse row comes out sorted by writing entry `i`
+    /// at position `perm[i]` — no per-node sort.
     fn from_permutations(
         graph: &Graph,
-        mut perm_for: impl FnMut(usize, usize) -> Vec<usize>,
+        mut shuffle: impl FnMut(usize, &mut [usize]),
     ) -> PortAssignment {
-        let n = graph.n();
-        let (graph_offsets, _, _) = graph.csr_parts();
-        let offsets = graph_offsets.to_vec();
-        let total = offsets[n];
+        let (graph_offsets, adjacency, _) = graph.csr_parts();
+        let total = adjacency.len();
         let mut to_neighbor = Vec::with_capacity(total);
-        let mut from_neighbor: Vec<PortEntry> = Vec::with_capacity(total);
-        for v in 0..n {
-            let nbrs = graph.neighbors(NodeId::new(v));
-            let perm = perm_for(v, nbrs.len());
-            debug_assert_eq!(perm.len(), nbrs.len());
-            let base = to_neighbor.len();
-            to_neighbor.extend(perm.iter().map(|&i| nbrs[i]));
-            from_neighbor.extend(
-                to_neighbor[base..]
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &w)| PortEntry {
-                        id: w,
-                        port: Port::new(i + 1),
-                    }),
-            );
-            from_neighbor[base..].sort_unstable_by_key(|e| e.id);
+        let mut from_neighbor = vec![
+            PortEntry {
+                id: NodeId::new(0),
+                port: Port(1),
+            };
+            total
+        ];
+        let mut perm = Vec::new();
+        for (v, bounds) in graph_offsets.windows(2).enumerate() {
+            let (base, nbrs) = (bounds[0], &adjacency[bounds[0]..bounds[1]]);
+            perm.clear();
+            perm.extend(0..nbrs.len());
+            shuffle(v, &mut perm);
+            for (i, &j) in perm.iter().enumerate() {
+                to_neighbor.push(nbrs[j]);
+                from_neighbor[base + j] = PortEntry {
+                    id: nbrs[j],
+                    port: Port::new(i + 1),
+                };
+            }
         }
         PortAssignment {
-            offsets: offsets.into(),
+            offsets: graph_offsets.to_vec().into(),
             to_neighbor: to_neighbor.into(),
             from_neighbor: from_neighbor.into(),
         }

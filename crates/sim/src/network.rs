@@ -7,7 +7,7 @@ use wakeup_graph::{Graph, NodeId, Relabeling};
 
 use wakeup_store::{Buf, SectionElem};
 
-use crate::knowledge::{IdAssignment, KnowledgeMode, PortAssignment};
+use crate::knowledge::{IdAssignment, KnowledgeMode, Port, PortAssignment};
 
 /// A network instance: graph topology plus the adversary's ID assignment and
 /// port mappings, under a fixed knowledge mode.
@@ -364,7 +364,7 @@ pub(crate) struct NodeTables {
     /// Node `v`'s sorted `(neighbor id, port)` pairs in the same ranges
     /// (fully empty under KT0 — KT0 contexts refuse ID addressing anyway);
     /// read via [`Self::id_to_port`].
-    id_to_port: Vec<(u64, crate::knowledge::Port)>,
+    id_to_port: Vec<(u64, Port)>,
 }
 
 /// The per-directed-edge fields every message dispatch touches, interleaved
@@ -392,40 +392,24 @@ unsafe impl SectionElem for EdgeHot {
     const ELEMS: usize = 2;
 }
 
-/// Node count below which [`NodeTables::build`] stays sequential: spawning
-/// threads costs more than the fill saves.
+/// Node count below which table builds stay sequential: spawning threads
+/// costs more than the fill saves.
 const PARALLEL_BUILD_MIN_N: usize = 50_000;
 
-/// Worker threads for large-network table builds: `WAKEUP_THREADS` if set
-/// (mirroring the sweep harness; invalid or zero values fall back to 1),
-/// otherwise the machine's available parallelism.
-fn build_threads() -> usize {
-    match std::env::var("WAKEUP_THREADS") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(t) if t >= 1 => t,
-            _ => 1,
-        },
-        Err(_) => std::thread::available_parallelism().map_or(1, |p| p.get()),
+/// Worker threads for a table build over `n` nodes: one below
+/// [`PARALLEL_BUILD_MIN_N`], otherwise the machine's available parallelism.
+/// The tables are byte-identical at any count, so this only moves speed.
+fn build_threads(n: usize) -> usize {
+    if n < PARALLEL_BUILD_MIN_N {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
     }
 }
 
 impl NodeTables {
     pub(crate) fn build(net: &Network) -> NodeTables {
-        let threads = if net.n() < PARALLEL_BUILD_MIN_N {
-            1
-        } else {
-            build_threads()
-        };
-        Self::build_with_threads(net, threads)
-    }
-
-    /// Table construction with an explicit worker count. Every per-node
-    /// output (sorted ID tables, directed-edge slots) depends only on that
-    /// node's ports, so the node range is split into contiguous chunks whose
-    /// output slices are disjoint — the result is byte-identical at any
-    /// thread count, which the 1-vs-4-thread CI diff pins end to end.
-    pub(crate) fn build_with_threads(net: &Network, threads: usize) -> NodeTables {
-        Self::build_in_space(net, threads, None)
+        Self::build_in_space(net, build_threads(net.n()), None)
     }
 
     /// Run-space tables: row `r` describes original node `rel.to_orig(r)`,
@@ -433,73 +417,107 @@ impl NodeTables {
     /// engines expose verbatim (neighbor IDs, reverse ports, `id_to_port`)
     /// is per-node-invariant and carried over untranslated.
     pub(crate) fn build_relabeled(net: &Network, rel: &Relabeling) -> NodeTables {
-        let threads = if net.n() < PARALLEL_BUILD_MIN_N {
-            1
-        } else {
-            build_threads()
-        };
-        Self::build_in_space(net, threads, Some(rel))
+        Self::build_in_space(net, build_threads(net.n()), Some(rel))
     }
 
-    fn build_in_space(net: &Network, threads: usize, rel: Option<&Relabeling>) -> NodeTables {
+    /// Builds the tables in `O(n + m)` time and `O(n)` words of scratch,
+    /// from the port assignment's reverse rows (`v`'s neighbors in
+    /// increasing order, each with the port at `v` that leads there). Each
+    /// table takes one sequential sweep that ranks every directed edge with
+    /// one counter per node, parking the rank in the edge's own slot of an
+    /// output buffer, then a gather over rows (parallel over `threads`)
+    /// that turns the ranks into the final entries:
+    ///
+    /// * `edge_hot`: sweeping `u = 0, 1, …`, the number of times a
+    ///   neighbor `w` has been seen is `u`'s position in `w`'s sorted
+    ///   reverse row, which holds the port at `w` leading back to `u` — no
+    ///   binary search.
+    /// * KT1 `id_to_port`/`neighbor_ids`: sweeping `u` in ID order, the
+    ///   number of times `w` has been seen is `u`'s position in `w`'s
+    ///   ID-sorted row — no per-node sort. IDs are arbitrary distinct
+    ///   `u64`s, so the nodes are sorted by ID once.
+    ///
+    /// The tables are byte-identical at any `threads` (see [`fill_rows`]).
+    pub(crate) fn build_in_space(
+        net: &Network,
+        threads: usize,
+        rel: Option<&Relabeling>,
+    ) -> NodeTables {
         let n = net.n();
-        let orig_of = |r: usize| rel.map_or(r, |rel| rel.to_orig(r));
+        let run = |v: usize| rel.map_or(v, |rel| rel.to_run(v));
+        let orig = |r: usize| rel.map_or(r, |rel| rel.to_orig(r));
+        let (port_offsets, _, reverse) = net.ports().raw_parts();
         let mut edge_offset = Vec::with_capacity(n + 1);
         edge_offset.push(0usize);
         for r in 0..n {
-            let deg = net.graph().degree(NodeId::new(orig_of(r)));
-            edge_offset.push(edge_offset[r] + deg);
+            let v = orig(r);
+            edge_offset.push(edge_offset[r] + port_offsets[v + 1] - port_offsets[v]);
         }
         let dir_edges = edge_offset[n];
-        let kt1 = net.mode() == KnowledgeMode::Kt1;
-        let id_slots = if kt1 { dir_edges } else { 0 };
-        let mut neighbor_ids = vec![0u64; id_slots];
-        let mut id_to_port = vec![(0u64, crate::knowledge::Port::new(1)); id_slots];
+        let node_u32 = |v: usize| u32::try_from(v).expect("node index fits u32");
+
+        // Slot (u, p) parks `{ to: w, rport: u's position in w's row }`.
         let mut edge_hot = vec![EdgeHot { to: 0, rport: 0 }; dir_edges];
-        if threads <= 1 || n < 2 {
-            fill_node_range(
-                net,
-                &edge_offset,
-                rel,
-                0,
-                n,
-                &mut neighbor_ids,
-                &mut id_to_port,
-                &mut edge_hot,
-            );
-        } else {
-            let chunk = n.div_ceil(threads.min(n));
-            std::thread::scope(|scope| {
-                let offsets = &edge_offset;
-                let mut nb = neighbor_ids.as_mut_slice();
-                let mut ip = id_to_port.as_mut_slice();
-                let mut eh = edge_hot.as_mut_slice();
-                let mut base = 0usize;
-                while base < n {
-                    let hi = (base + chunk).min(n);
-                    let edges_here = offsets[hi] - offsets[base];
-                    let ids_here = if kt1 { edges_here } else { 0 };
-                    let (nb_head, nb_tail) = nb.split_at_mut(ids_here);
-                    let (ip_head, ip_tail) = ip.split_at_mut(ids_here);
-                    let (eh_head, eh_tail) = eh.split_at_mut(edges_here);
-                    scope.spawn(move || {
-                        fill_node_range(
-                            net,
-                            offsets,
-                            rel,
-                            base,
-                            hi - base,
-                            nb_head,
-                            ip_head,
-                            eh_head,
-                        );
-                    });
-                    nb = nb_tail;
-                    ip = ip_tail;
-                    eh = eh_tail;
-                    base = hi;
+        let mut seen = vec![0u32; n];
+        for u in 0..n {
+            let row = edge_offset[run(u)];
+            for e in &reverse[port_offsets[u]..port_offsets[u + 1]] {
+                let w = e.id.index();
+                edge_hot[row + e.port.index()] = EdgeHot {
+                    to: node_u32(w),
+                    rport: seen[w],
+                };
+                seen[w] += 1;
+            }
+        }
+        fill_rows(threads, &edge_offset, &mut edge_hot, |rows, hot| {
+            let first = edge_offset[rows.start];
+            for r in rows {
+                for e in &mut hot[edge_offset[r] - first..edge_offset[r + 1] - first] {
+                    let w = e.to as usize;
+                    let back = reverse[port_offsets[w] + e.rport as usize];
+                    debug_assert_eq!(back.id.index(), orig(r), "port maps are symmetric");
+                    *e = EdgeHot {
+                        to: node_u32(run(w)),
+                        rport: back.port.number() as u32,
+                    };
+                }
+            }
+        });
+
+        let mut neighbor_ids = Vec::new();
+        let mut id_to_port = Vec::new();
+        if net.mode() == KnowledgeMode::Kt1 {
+            let ids = net.ids().as_slice();
+            let mut by_id: Vec<u32> = (0..node_u32(n)).collect();
+            by_id.sort_unstable_by_key(|&v| ids[v as usize]);
+            // Slot (u, p) parks u's position in the ID-sorted row of the
+            // neighbor behind p (`neighbor_ids` is overwritten below).
+            neighbor_ids = vec![0u64; dir_edges];
+            let mut ranked = vec![0u32; n];
+            for &u in &by_id {
+                let ru = run(u as usize);
+                for slot in edge_offset[ru]..edge_offset[ru + 1] {
+                    let r = edge_hot[slot].to as usize;
+                    neighbor_ids[slot] = u64::from(ranked[r]);
+                    ranked[r] += 1;
+                }
+            }
+            id_to_port = vec![(0u64, Port::new(1)); dir_edges];
+            fill_rows(threads, &edge_offset, &mut id_to_port, |rows, pairs| {
+                let first = edge_offset[rows.start];
+                for r in rows {
+                    let row = edge_offset[r];
+                    for (i, e) in edge_hot[row..edge_offset[r + 1]].iter().enumerate() {
+                        let u = e.to as usize;
+                        let rank = neighbor_ids[edge_offset[u] + e.rport as usize - 1];
+                        pairs[row - first + rank as usize] = (ids[orig(u)], Port::new(i + 1));
+                    }
                 }
             });
+            for (id, &(pair_id, _)) in neighbor_ids.iter_mut().zip(&id_to_port) {
+                *id = pair_id;
+            }
         }
         NodeTables {
             edge_offset: edge_offset.into(),
@@ -511,7 +529,7 @@ impl NodeTables {
 
     /// The directed-edge slot of `(v, port)`.
     #[inline]
-    pub(crate) fn slot(&self, v: NodeId, port: crate::knowledge::Port) -> usize {
+    pub(crate) fn slot(&self, v: NodeId, port: Port) -> usize {
         self.edge_offset[v.index()] + port.index()
     }
 
@@ -531,7 +549,7 @@ impl NodeTables {
 
     /// Sorted `(neighbor id, port)` pairs of node `v` (empty under KT0).
     #[inline]
-    pub(crate) fn id_to_port(&self, v: usize) -> &[(u64, crate::knowledge::Port)] {
+    pub(crate) fn id_to_port(&self, v: usize) -> &[(u64, Port)] {
         if self.id_to_port.is_empty() {
             return &[];
         }
@@ -540,7 +558,7 @@ impl NodeTables {
 
     /// The flat KT1 buffers `(neighbor_ids, id_to_port)`, consumed by the
     /// persistent artifact store (both empty under KT0).
-    pub(crate) fn raw_id_tables(&self) -> (&[u64], &[(u64, crate::knowledge::Port)]) {
+    pub(crate) fn raw_id_tables(&self) -> (&[u64], &[(u64, Port)]) {
         (&self.neighbor_ids, &self.id_to_port)
     }
 
@@ -551,7 +569,7 @@ impl NodeTables {
         edge_offset: Buf<usize>,
         edge_hot: Buf<EdgeHot>,
         neighbor_ids: Buf<u64>,
-        id_to_port: Vec<(u64, crate::knowledge::Port)>,
+        id_to_port: Vec<(u64, Port)>,
     ) -> NodeTables {
         debug_assert!(!edge_offset.is_empty());
         let dir_edges = *edge_offset.last().unwrap();
@@ -567,52 +585,36 @@ impl NodeTables {
     }
 }
 
-/// Fills the table rows for the `count` contiguous rows starting at `base`;
-/// the edge slices start at directed slot `edge_offset[base]` (the ID
-/// slices are empty under KT0). With `rel` set, row `r` describes original
-/// node `rel.to_orig(r)` and neighbor indices land in run space.
-#[allow(clippy::too_many_arguments)]
-fn fill_node_range(
-    net: &Network,
-    edge_offset: &[usize],
-    rel: Option<&Relabeling>,
-    base: usize,
-    count: usize,
-    neighbor_ids: &mut [u64],
-    id_to_port: &mut [(u64, crate::knowledge::Port)],
-    edge_hot: &mut [EdgeHot],
+/// Runs `fill(rows, part)` over contiguous chunks of the row range
+/// `0..offsets.len() - 1`, one scoped worker per chunk, where `part` is the
+/// slice of `buf` holding those rows' slots (`offsets[rows.start] ..
+/// offsets[rows.end]`). A row's bytes depend only on shared read-only
+/// inputs, never on the chunking, so the output is the same at any thread
+/// count.
+fn fill_rows<T: Send>(
+    threads: usize,
+    offsets: &[usize],
+    buf: &mut [T],
+    fill: impl Fn(std::ops::Range<usize>, &mut [T]) + Sync,
 ) {
-    let kt1 = net.mode() == KnowledgeMode::Kt1;
-    let edge_base = edge_offset[base];
-    for i in 0..count {
-        let v = NodeId::new(rel.map_or(base + i, |rel| rel.to_orig(base + i)));
-        let deg = net.graph().degree(v);
-        let slot0 = edge_offset[base + i] - edge_base;
-        if kt1 {
-            let pairs = &mut id_to_port[slot0..slot0 + deg];
-            for p in 1..=deg {
-                let port = crate::knowledge::Port::new(p);
-                let w = net.ports().neighbor(v, port);
-                pairs[p - 1] = (net.ids().id(w), port);
-            }
-            pairs.sort_unstable_by_key(|&(id, _)| id);
-            for (j, &(id, _)) in pairs.iter().enumerate() {
-                neighbor_ids[slot0 + j] = id;
-            }
-        }
-        for p in 1..=deg {
-            let w = net.ports().neighbor(v, crate::knowledge::Port::new(p));
-            let back = net
-                .ports()
-                .port_to(w, v)
-                .expect("port maps are bijections onto neighbors");
-            let to = rel.map_or(w.index(), |rel| rel.to_run(w.index()));
-            edge_hot[slot0 + p - 1] = EdgeHot {
-                to: u32::try_from(to).expect("node index fits u32"),
-                rport: u32::try_from(back.number()).expect("port fits u32"),
-            };
-        }
+    let n = offsets.len() - 1;
+    if threads <= 1 || n < 2 {
+        fill(0..n, buf);
+        return;
     }
+    let chunk = n.div_ceil(threads.min(n));
+    let fill = &fill;
+    std::thread::scope(|scope| {
+        let mut rest = buf;
+        let mut lo = 0;
+        while lo < n {
+            let hi = (lo + chunk).min(n);
+            let (part, tail) = rest.split_at_mut(offsets[hi] - offsets[lo]);
+            scope.spawn(move || fill(lo..hi, part));
+            rest = tail;
+            lo = hi;
+        }
+    });
 }
 
 #[cfg(test)]
@@ -649,22 +651,38 @@ mod tests {
         assert_eq!(net.node_with_id(999), None);
     }
 
+    /// A KT1 network with random ports and IDs that are not `0..n`
+    /// (`1000·v + 7`, shuffled): the ID-order sweep must sort real keys,
+    /// not assume a permutation.
+    fn sparse_ids_network(g: Graph, seed: u64) -> Network {
+        let mut rng = Xoshiro256::seed_from(seed);
+        let ports = PortAssignment::random(&g, &mut rng);
+        let mut ids: Vec<u64> = (0..g.n() as u64).map(|v| 1000 * v + 7).collect();
+        rng.shuffle(&mut ids);
+        Network::with_parts(g, ports, IdAssignment::from_vec(ids), KnowledgeMode::Kt1)
+    }
+
     #[test]
     fn parallel_table_build_is_byte_identical() {
         // The parallel fill must be indistinguishable from the sequential
-        // one at every thread count, including counts that don't divide n.
-        for kt1 in [false, true] {
-            let g = generators::erdos_renyi_connected(97, 0.1, 11).unwrap();
-            let net = if kt1 {
-                Network::kt1(g, 11)
-            } else {
-                Network::kt0(g, 11)
-            };
+        // one at every thread count, including counts that don't divide n,
+        // in original and in run space.
+        let g = generators::erdos_renyi_connected(97, 0.1, 11).unwrap();
+        let nets = [
+            Network::kt0(g.clone(), 11),
+            Network::kt1(g.clone(), 11),
+            sparse_ids_network(g, 11),
+        ];
+        for net in nets {
             let mode = net.mode();
-            let seq = NodeTables::build_with_threads(&net, 1);
-            for threads in [2usize, 3, 7, 128] {
-                let par = NodeTables::build_with_threads(&net, threads);
-                assert_eq!(seq, par, "{mode:?} {threads}");
+            let rel = Relabeling::locality(net.graph());
+            assert!(!rel.is_identity(), "fixture must relabel");
+            for space in [None, Some(&rel)] {
+                let seq = NodeTables::build_in_space(&net, 1, space);
+                for threads in [2usize, 3, 7, 128] {
+                    let par = NodeTables::build_in_space(&net, threads, space);
+                    assert_eq!(seq, par, "{mode:?} {threads} {}", space.is_some());
+                }
             }
         }
     }
@@ -687,46 +705,84 @@ mod tests {
                     Network::kt0(g.clone(), 9)
                 };
                 let mode = net.mode();
-                let seq = NodeTables::build_with_threads(&net, 1);
+                let seq = NodeTables::build_in_space(&net, 1, None);
                 for threads in [2usize, 3, 7, 128] {
-                    let par = NodeTables::build_with_threads(&net, threads);
+                    let par = NodeTables::build_in_space(&net, threads, None);
                     assert_eq!(seq, par, "{mode:?} {threads}");
                 }
             }
         }
     }
 
+    /// Checks `tables` (run space when `rel` is set) against the port
+    /// maps walked port by port: each slot's neighbor and `port_to`, and
+    /// each KT1 row gathered and sorted per node.
+    fn assert_tables_match_ports(net: &Network, tables: &NodeTables, rel: Option<&Relabeling>) {
+        let run = |v: NodeId| rel.map_or(v.index(), |rel| rel.to_run(v.index()));
+        assert_eq!(tables.edge_offset.len(), net.n() + 1);
+        let m2: usize = net.graph().nodes().map(|v| net.graph().degree(v)).sum();
+        assert_eq!(tables.directed_edges(), m2);
+        assert_eq!(tables.edge_hot.len(), m2);
+        for v in net.graph().nodes() {
+            let r = run(v);
+            let deg = net.graph().degree(v);
+            assert_eq!(tables.edge_offset[r + 1] - tables.edge_offset[r], deg);
+            let mut row = Vec::new();
+            for p in 1..=deg {
+                let port = Port::new(p);
+                let slot = tables.slot(NodeId::new(r), port);
+                let w = net.ports().neighbor(v, port);
+                assert_eq!(tables.edge_hot[slot].to as usize, run(w));
+                let back = net.ports().port_to(w, v).unwrap();
+                assert_eq!(tables.edge_hot[slot].rport as usize, back.number());
+                // The reverse slot maps back: following rport from w
+                // must reach v again.
+                let back_slot = tables.slot(NodeId::new(run(w)), back);
+                assert_eq!(tables.edge_hot[back_slot].to as usize, r);
+                row.push((net.ids().id(w), port));
+            }
+            if net.mode() == KnowledgeMode::Kt0 {
+                row.clear();
+            }
+            row.sort_unstable_by_key(|&(id, _)| id);
+            let ids: Vec<u64> = row.iter().map(|&(id, _)| id).collect();
+            assert_eq!(tables.id_to_port(r), &row[..], "{v:?}");
+            assert_eq!(tables.neighbor_ids(r), &ids[..], "{v:?}");
+        }
+    }
+
     #[test]
     fn edge_index_matches_port_assignment() {
         // Random KT0 ports are the adversarial case: slots must agree with
-        // the (permuted) port maps, not with neighbor order.
+        // the (permuted) port maps, not with neighbor order. KT1 rows are
+        // checked too, with canonical and with random ports; the smallest
+        // networks and a dense one cover the edges of the sweeps.
+        let mut nets = Vec::new();
         for seed in 0..4 {
             let g = generators::erdos_renyi_connected(24, 0.25, seed).unwrap();
-            let net = Network::kt0(g, seed);
-            let tables = NodeTables::build(&net);
-            assert_eq!(tables.edge_offset.len(), net.n() + 1);
-            let m2: usize = net.graph().nodes().map(|v| net.graph().degree(v)).sum();
-            assert_eq!(tables.directed_edges(), m2);
-            assert_eq!(tables.edge_hot.len(), m2);
-            for v in net.graph().nodes() {
-                for p in 1..=net.graph().degree(v) {
-                    let port = crate::knowledge::Port::new(p);
-                    let slot = tables.slot(v, port);
-                    assert!(
-                        (tables.edge_offset[v.index()]..tables.edge_offset[v.index() + 1])
-                            .contains(&slot)
-                    );
-                    let w = net.ports().neighbor(v, port);
-                    assert_eq!(tables.edge_hot[slot].to as usize, w.index());
-                    let back = net.ports().port_to(w, v).unwrap();
-                    assert_eq!(tables.edge_hot[slot].rport as usize, back.number());
-                    // The reverse slot maps back: following rport from w
-                    // must reach v again.
-                    let back_slot = tables.slot(w, back);
-                    assert_eq!(tables.edge_hot[back_slot].to as usize, v.index());
-                }
+            nets.push(Network::kt0(g.clone(), seed));
+            nets.push(Network::kt1(g.clone(), seed));
+            nets.push(sparse_ids_network(g, seed));
+        }
+        for g in [
+            generators::path(1).unwrap(),
+            generators::path(2).unwrap(),
+            generators::complete(192).unwrap(),
+        ] {
+            nets.push(Network::kt0(g.clone(), 5));
+            nets.push(Network::kt1(g, 5));
+        }
+        let mut relabeled = 0;
+        for net in &nets {
+            assert_tables_match_ports(net, &NodeTables::build(net), None);
+            let rel = Relabeling::locality(net.graph());
+            if !rel.is_identity() {
+                relabeled += 1;
+                let tables = NodeTables::build_relabeled(net, &rel);
+                assert_tables_match_ports(net, &tables, Some(&rel));
             }
         }
+        assert!(relabeled >= 12, "run space covered on {relabeled} networks");
     }
 
     #[test]
@@ -738,7 +794,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for v in net.graph().nodes() {
             for p in 1..=net.graph().degree(v) {
-                assert!(seen.insert(tables.slot(v, crate::knowledge::Port::new(p))));
+                assert!(seen.insert(tables.slot(v, Port::new(p))));
             }
         }
         assert_eq!(seen.len(), tables.directed_edges());

@@ -621,14 +621,82 @@ mod tests {
         let net = Network::kt1(g, 4);
         let serial = {
             let fresh = net.clone();
-            fresh.preset_tables(crate::network::NodeTables::build_with_threads(&fresh, 1));
+            fresh.preset_tables(crate::network::NodeTables::build_in_space(&fresh, 1, None));
             network_file_bytes("threads", &fresh)
         };
         let parallel = {
             let fresh = net.clone();
-            fresh.preset_tables(crate::network::NodeTables::build_with_threads(&fresh, 4));
+            fresh.preset_tables(crate::network::NodeTables::build_in_space(&fresh, 4, None));
             network_file_bytes("threads", &fresh)
         };
         assert_eq!(serial, parallel);
+    }
+    /// The file image of a cold build is pinned, so a change to how ports,
+    /// IDs or engine tables are derived cannot silently change a bake. The
+    /// set spans KT0 and KT1, a dense KT1 row (`complete(192)`), uniform
+    /// and hub-heavy degrees, and run-space tables. Random graphs are all
+    /// G(n, p) with n ≥ 1024, on the geometric-skip sampler.
+    #[test]
+    fn network_file_bytes_are_pinned() {
+        use wakeup_graph::families::{PowerLaw, Torus};
+        let sparse = |n: usize| generators::erdos_renyi_connected(n, 8.0 / n as f64, 1).unwrap();
+        let torus = Torus::new(6, 8).unwrap().graph().clone();
+        let power = PowerLaw::new(80, 3, 5).unwrap().graph().clone();
+        let relabeled = |net: Network| {
+            net.force_relabel();
+            assert!(net.run_space().is_some(), "fixture must relabel");
+            net
+        };
+        let pinned = [
+            (
+                "sparse16384-kt0",
+                Network::kt0(sparse(16384), 1),
+                0xbb0c_2c28_84f0_76c0,
+            ),
+            (
+                "sparse16384-kt1",
+                Network::kt1(sparse(16384), 1),
+                0xdf1e_46d3_21e9_197f,
+            ),
+            (
+                "complete192-kt1",
+                Network::kt1(generators::complete(192).unwrap(), 1),
+                0x6052_b21e_30aa_1b0d,
+            ),
+            (
+                "torus6x8-kt0",
+                Network::kt0(torus.clone(), 1),
+                0x1b92_e43c_069a_9dbf,
+            ),
+            (
+                "torus6x8-kt1",
+                Network::kt1(torus, 1),
+                0x5b83_64bf_24c1_05ab,
+            ),
+            (
+                "powerlaw80-kt0",
+                Network::kt0(power.clone(), 1),
+                0x3e14_eeb1_9df2_85d7,
+            ),
+            (
+                "powerlaw80-kt1",
+                Network::kt1(power, 1),
+                0x5262_23f5_70f8_9402,
+            ),
+            (
+                "sparse2048-relabeled-kt0",
+                relabeled(Network::kt0(sparse(2048), 1)),
+                0x69b6_11b0_37b9_c924,
+            ),
+            (
+                "sparse2048-relabeled-kt1",
+                relabeled(Network::kt1(sparse(2048), 1)),
+                0xcc0d_06a4_42ae_69b8,
+            ),
+        ];
+        for (label, net, digest) in pinned {
+            let got = wakeup_store::xxh64(&network_file_bytes(label, &net), 0);
+            assert_eq!(got, digest, "{label}: 0x{got:016x}");
+        }
     }
 }

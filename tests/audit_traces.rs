@@ -92,9 +92,11 @@ fn goldens_parse_and_round_trip() {
 
 #[test]
 fn traces_are_identical_across_thread_counts() {
-    // `WAKEUP_THREADS` parallelizes the node-table build; it must never
-    // leak into execution order. The network is rebuilt under each setting
-    // because the variable is read at table-build time.
+    // `WAKEUP_THREADS` sizes the report binaries' sweep pool; it must never
+    // leak into execution order. The library reads no thread variable (its
+    // large-n table build uses the available cores and is byte-identical at
+    // any count), so the network is rebuilt under each setting to keep it
+    // that way.
     let mut traces = Vec::new();
     for threads in ["1", "4"] {
         std::env::set_var("WAKEUP_THREADS", threads);
