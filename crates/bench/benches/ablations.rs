@@ -16,10 +16,16 @@ use wakeup_core::advice::{run_scheme, CenScheme};
 use wakeup_core::dfs_congest::DfsCongest;
 use wakeup_core::dfs_rank::{DfsIdRank, DfsRank};
 use wakeup_core::fast_wakeup::FastWakeUpScaled;
-use wakeup_core::harness;
 use wakeup_graph::{generators, NodeId};
 use wakeup_sim::adversary::WakeSchedule;
-use wakeup_sim::Network;
+use wakeup_sim::{AsyncConfig, AsyncEngine, Network, SyncConfig, SyncEngine};
+
+fn async_seed(seed: u64) -> AsyncConfig {
+    AsyncConfig {
+        seed,
+        ..AsyncConfig::default()
+    }
+}
 
 fn bench_ranks(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_ranks");
@@ -34,18 +40,18 @@ fn bench_ranks(c: &mut Criterion) {
     let nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
     // Overlapping tokens: the separating regime for the rank ablation.
     let schedule = WakeSchedule::staggered(&nodes, 2.0);
-    let random = harness::run_async::<DfsRank>(&net, &schedule, 5);
-    let id_rank = harness::run_async::<DfsIdRank>(&net, &schedule, 5);
+    let random = AsyncEngine::<DfsRank>::new(&net, async_seed(5)).run(&schedule);
+    let id_rank = AsyncEngine::<DfsIdRank>::new(&net, async_seed(5)).run(&schedule);
     eprintln!(
         "ablation_ranks n={n}: random-rank msgs={} | id-rank msgs={} (ordered-wake adversary)",
-        random.report.messages(),
-        id_rank.report.messages()
+        random.messages(),
+        id_rank.messages()
     );
     group.bench_function(BenchmarkId::from_parameter("random"), |b| {
-        b.iter(|| harness::run_async::<DfsRank>(&net, &schedule, 5))
+        b.iter(|| AsyncEngine::<DfsRank>::new(&net, async_seed(5)).run(&schedule))
     });
     group.bench_function(BenchmarkId::from_parameter("id"), |b| {
-        b.iter(|| harness::run_async::<DfsIdRank>(&net, &schedule, 5))
+        b.iter(|| AsyncEngine::<DfsIdRank>::new(&net, async_seed(5)).run(&schedule))
     });
     group.finish();
 }
@@ -57,17 +63,18 @@ fn bench_sampling(c: &mut Criterion) {
     let net = Network::kt1(g, 4);
     let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
     let schedule = WakeSchedule::all_at_zero(&all);
+    let config = SyncConfig {
+        seed: 6,
+        ..SyncConfig::default()
+    };
     macro_rules! probe {
         ($pct:literal) => {{
-            let run = harness::run_sync::<FastWakeUpScaled<$pct>>(&net, &schedule, 6);
-            assert!(run.report.all_awake);
-            eprintln!(
-                "ablation_sampling pct={}: msgs={}",
-                $pct,
-                run.report.messages()
-            );
+            type P = FastWakeUpScaled<$pct>;
+            let report = SyncEngine::<P>::new(&net, config.clone()).run(&schedule);
+            assert!(report.all_awake);
+            eprintln!("ablation_sampling pct={}: msgs={}", $pct, report.messages());
             group.bench_function(BenchmarkId::from_parameter($pct), |b| {
-                b.iter(|| harness::run_sync::<FastWakeUpScaled<$pct>>(&net, &schedule, 6))
+                b.iter(|| SyncEngine::<P>::new(&net, config.clone()).run(&schedule))
             });
         }};
     }
@@ -119,18 +126,18 @@ fn bench_congest_dfs(c: &mut Criterion) {
     let m = g.m() as u64;
     let net = Network::kt1(g, 9);
     let schedule = WakeSchedule::single(NodeId::new(0));
-    let local = harness::run_async::<DfsRank>(&net, &schedule, 8);
-    let congest = harness::run_async::<DfsCongest>(&net, &schedule, 8);
+    let local = AsyncEngine::<DfsRank>::new(&net, async_seed(8)).run(&schedule);
+    let congest = AsyncEngine::<DfsCongest>::new(&net, async_seed(8)).run(&schedule);
     eprintln!(
         "ablation_congest K_{n} (m={m}): LOCAL token msgs={} | CONGEST token msgs={}",
-        local.report.messages(),
-        congest.report.messages()
+        local.messages(),
+        congest.messages()
     );
     group.bench_function(BenchmarkId::from_parameter("local"), |b| {
-        b.iter(|| harness::run_async::<DfsRank>(&net, &schedule, 8))
+        b.iter(|| AsyncEngine::<DfsRank>::new(&net, async_seed(8)).run(&schedule))
     });
     group.bench_function(BenchmarkId::from_parameter("congest"), |b| {
-        b.iter(|| harness::run_async::<DfsCongest>(&net, &schedule, 8))
+        b.iter(|| AsyncEngine::<DfsCongest>::new(&net, async_seed(8)).run(&schedule))
     });
     group.finish();
 }

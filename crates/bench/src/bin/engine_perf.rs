@@ -21,7 +21,7 @@
 //! this to compare a `--filter flood` run against `BENCH_baseline.json`.
 //!
 //! `--shards <K>` sets the intra-run shard count used by the `*_sharded`
-//! workloads (default: the `WAKEUP_SHARDS` environment variable, else 4).
+//! workloads (default 4).
 //! Sharded execution is byte-identical to serial — CI diffs the `--obs-json`
 //! export across shard counts exactly as it does across `WAKEUP_THREADS`.
 //!
@@ -506,13 +506,10 @@ fn main() {
     let mut filter: Option<String> = None;
     let mut ns: Option<Vec<usize>> = None;
     let mut obs_json: Option<String> = None;
-    // Shard count for the `*_sharded` workloads: `--shards` beats
-    // `WAKEUP_SHARDS` beats the committed default of 4 (the baseline file
-    // pins 4-shard rows so the numbers are comparable across machines).
-    let mut shards = match wakeup_sim::shards_from_env() {
-        1 => 4,
-        s => s,
-    };
+    // Shard count for the `*_sharded` workloads: `--shards`, else the
+    // committed default of 4 (the baseline file pins 4-shard rows so the
+    // numbers are comparable across machines).
+    let mut shards = 4;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {

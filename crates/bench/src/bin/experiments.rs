@@ -15,15 +15,28 @@ use wakeup_bench::{artifacts, par_sweep, run_cell, RowPoint};
 use wakeup_core::advice::{run_scheme, CenScheme};
 use wakeup_core::dfs_congest::DfsCongest;
 use wakeup_core::dfs_rank::{DfsIdRank, DfsRank};
-use wakeup_core::fast_wakeup::FastWakeUpScaled;
+use wakeup_core::fast_wakeup::{FastWakeUp, FastWakeUpScaled};
 use wakeup_core::gossip::SetGossip;
-use wakeup_core::harness;
 use wakeup_graph::families::ClassGk;
 use wakeup_graph::{generators, NodeId};
 use wakeup_lb::{fragments, thm1, thm2};
 use wakeup_scenario::{ProtocolSpec, ScenarioSpec};
 use wakeup_sim::adversary::WakeSchedule;
-use wakeup_sim::Network;
+use wakeup_sim::{AsyncConfig, AsyncEngine, Network, SyncConfig, SyncEngine};
+
+fn async_seed(seed: u64) -> AsyncConfig {
+    AsyncConfig {
+        seed,
+        ..AsyncConfig::default()
+    }
+}
+
+fn sync_seed(seed: u64) -> SyncConfig {
+    SyncConfig {
+        seed,
+        ..SyncConfig::default()
+    }
+}
 
 fn print_sweep(title: &str, claim: &str, points: &[RowPoint]) {
     println!("\n### {title}\n");
@@ -241,15 +254,15 @@ fn main() {
         let fam = ClassGk::new(k, q, 7).unwrap();
         let m = fam.graph().m() as u64;
         let net = Network::kt1(fam.graph().clone(), 7);
-        let run =
-            harness::run_sync::<SetGossip>(&net, &WakeSchedule::all_at_zero(&fam.centers()), 7);
-        assert!(run.report.all_awake);
+        let report = SyncEngine::<SetGossip>::new(&net, sync_seed(7))
+            .run(&WakeSchedule::all_at_zero(&fam.centers()));
+        assert!(report.all_awake);
         println!(
             "| {} | {} | {} | {} | {} |",
             k,
             fam.n_parameter(),
-            run.report.messages(),
-            run.report.rounds,
+            report.messages(),
+            report.rounds,
             2 * m
         );
     }
@@ -322,22 +335,22 @@ fn main() {
         let m = g.m();
         let schedule = WakeSchedule::single(NodeId::new(0));
         let net1 = Network::kt1(g.clone(), 9);
-        let dfs = harness::run_async::<DfsRank>(&net1, &schedule, 9);
-        let fast = harness::run_sync::<wakeup_core::fast_wakeup::FastWakeUp>(&net1, &schedule, 9);
+        let dfs = AsyncEngine::<DfsRank>::new(&net1, async_seed(9)).run(&schedule);
+        let fast = SyncEngine::<FastWakeUp>::new(&net1, sync_seed(9)).run(&schedule);
         let net0 = Network::kt0(g, 9);
         let cen = run_scheme(&CenScheme::new(), &net0, &schedule, 9);
         assert!(
-            dfs.report.all_awake && fast.report.all_awake && cen.report.all_awake,
+            dfs.all_awake && fast.all_awake && cen.report.all_awake,
             "{name}"
         );
-        let fast_rounds = fast.report.metrics.all_awake_tick.unwrap() / wakeup_sim::TICKS_PER_UNIT;
+        let fast_rounds = fast.metrics.all_awake_tick.unwrap() / wakeup_sim::TICKS_PER_UNIT;
         println!(
             "| {} | {} | {} | {} | {} ({}) | {} ({:.0}) |",
             name,
             m,
             d,
-            dfs.report.messages(),
-            fast.report.messages(),
+            dfs.messages(),
+            fast.messages(),
             fast_rounds,
             cen.report.messages(),
             cen.report.time_units(),
@@ -356,38 +369,38 @@ fn main() {
     );
     let nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
     let schedule = WakeSchedule::staggered(&nodes, 2.0);
-    let random = harness::run_async::<DfsRank>(&net, &schedule, 5);
-    let id_rank = harness::run_async::<DfsIdRank>(&net, &schedule, 5);
+    let random = AsyncEngine::<DfsRank>::new(&net, async_seed(5)).run(&schedule);
+    let id_rank = AsyncEngine::<DfsIdRank>::new(&net, async_seed(5)).run(&schedule);
     println!(
         "- ranks (n={n}, ordered-wake adversary): random ranks {} msgs vs ID ranks {} msgs",
-        random.report.messages(),
-        id_rank.report.messages()
+        random.messages(),
+        id_rank.messages()
     );
 
     let g = generators::complete(96).unwrap();
     let netc = Network::kt1(g, 4);
     let all: Vec<NodeId> = (0..96).map(NodeId::new).collect();
     let s = WakeSchedule::all_at_zero(&all);
-    let lo = harness::run_sync::<FastWakeUpScaled<25>>(&netc, &s, 6);
-    let mid = harness::run_sync::<FastWakeUpScaled<100>>(&netc, &s, 6);
-    let hi = harness::run_sync::<FastWakeUpScaled<400>>(&netc, &s, 6);
+    let lo = SyncEngine::<FastWakeUpScaled<25>>::new(&netc, sync_seed(6)).run(&s);
+    let mid = SyncEngine::<FastWakeUpScaled<100>>::new(&netc, sync_seed(6)).run(&s);
+    let hi = SyncEngine::<FastWakeUpScaled<400>>::new(&netc, sync_seed(6)).run(&s);
     println!(
         "- sampling (K_96, all awake): p×0.25 → {} msgs, p×1 → {} msgs, p×4 → {} msgs",
-        lo.report.messages(),
-        mid.report.messages(),
-        hi.report.messages()
+        lo.messages(),
+        mid.messages(),
+        hi.messages()
     );
 
     let gk = generators::complete(80).unwrap();
     let mk = gk.m() as u64;
     let netk = Network::kt1(gk, 9);
     let sk = WakeSchedule::single(NodeId::new(0));
-    let local = harness::run_async::<DfsRank>(&netk, &sk, 8);
-    let congest = harness::run_async::<DfsCongest>(&netk, &sk, 8);
+    let local = AsyncEngine::<DfsRank>::new(&netk, async_seed(8)).run(&sk);
+    let congest = AsyncEngine::<DfsCongest>::new(&netk, async_seed(8)).run(&sk);
     println!(
         "- LOCAL vs CONGEST DFS (K_80, m={mk}): LOCAL token {} msgs vs CONGEST token {} msgs (bounce overhead = why Thm 3 is a LOCAL result)",
-        local.report.messages(),
-        congest.report.messages()
+        local.messages(),
+        congest.messages()
     );
 
     let g = generators::star(300).unwrap();

@@ -18,9 +18,8 @@
 //! process exits nonzero if full observability costs more than `--budget`
 //! (default 3%) of the baseline's events/s.
 //!
-//! `--shards <k>` runs both levels on the sharded execution path (set
-//! `WAKEUP_SHARDS_FORCE=1` to shard below the engine's size threshold), so
-//! the gate also covers the per-shard recorders and the merge step.
+//! `--shards <k>` runs both levels on the sharded execution path, so the
+//! gate also covers the per-shard recorders and the merge step.
 
 use std::cell::Cell;
 use std::time::Instant;

@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use artifacts::{build_advice, AdviceKey, ArtifactCache, GraphFamily, NetworkKey, SchemeId};
 use wakeup_scenario::{run, ScenarioSpec};
-use wakeup_sim::{ObsSnapshot, TICKS_PER_UNIT};
+use wakeup_sim::ObsSnapshot;
 
 /// One measured point of a Table 1 row.
 #[derive(Debug, Clone)]
@@ -60,8 +60,8 @@ impl RowPoint {
 /// whose graph seed differs from the engine seed, build their network
 /// with [`run::build_network`] instead.
 ///
-/// Time is τ units for async protocols and rounds until every node is
-/// awake for sync ones; the shape is
+/// Time is [`run::run_time`]: τ units for async protocols and rounds until
+/// every node is awake for sync ones; the shape is
 /// [`wakeup_scenario::ProtocolSpec::table1_shape`].
 ///
 /// # Panics
@@ -84,11 +84,6 @@ pub fn run_cell(cache: &ArtifactCache, spec: &ScenarioSpec) -> RowPoint {
     let report = &run.report;
     assert!(report.all_awake, "{}: not every node woke", spec.name);
     assert_eq!(report.metrics.congest_violations, 0, "{}", spec.name);
-    let time = if spec.protocol.is_sync() {
-        (report.metrics.all_awake_tick.unwrap_or(0) / TICKS_PER_UNIT) as f64
-    } else {
-        report.time_units()
-    };
     let shape = spec
         .protocol
         .table1_shape(net.n(), net.graph().m())
@@ -96,7 +91,7 @@ pub fn run_cell(cache: &ArtifactCache, spec: &ScenarioSpec) -> RowPoint {
     RowPoint {
         n: net.n(),
         messages: report.messages(),
-        time,
+        time: run::run_time(spec.protocol, report),
         advice_max_bits: run.advice.as_ref().map_or(0, |a| a.max_bits),
         advice_avg_bits: run.advice.as_ref().map_or(0.0, |a| a.avg_bits),
         shape,

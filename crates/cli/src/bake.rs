@@ -6,11 +6,12 @@
 //! wakeup bake [--dir DIR] --scenario scenarios/table1/04-cor1.json [--verify]
 //! ```
 //!
-//! For every requested size the corpus covers each network the measurement
-//! harness touches — `Sparse/KT0`, `Sparse/KT1`, `Complete/KT1` — plus the
-//! advice bitstrings of the Table 1 oracle schemes (BFS tree, threshold,
-//! CEN, spanner `k ∈ {2, 3}`, spanner `k = ⌈log₂ n⌉`), all computed on
-//! the Sparse/KT0 network exactly as `wakeup_bench::run_cell` does.
+//! For every requested size the corpus covers each network the Table 1
+//! cells and `engine_perf` load — `Sparse/KT0`, `Sparse/KT1`, and
+//! `Complete/KT1` up to `MAX_COMPLETE_BAKE_N` (192) nodes — plus the advice
+//! bitstrings of the Table 1 oracle schemes (BFS tree, threshold, CEN,
+//! spanner `k ∈ {2, 3}`, spanner `k = ⌈log₂ n⌉`), all computed on the
+//! Sparse/KT0 network exactly as `wakeup_bench::run_cell` does.
 //! Baking is idempotent: a checksum-clean file for the same key is left
 //! untouched, so re-running `bake` after a format or parameter change
 //! rewrites only the stale artifacts.
@@ -38,6 +39,13 @@ use wakeup_sim::KnowledgeMode;
 
 use crate::CliError;
 
+/// Largest node count at which the corpus bakes the complete family: the
+/// largest complete graph a committed workload loads (Table 1's Theorem 4
+/// row sweeps to 192; `engine_perf`'s `fast_wakeup_sync` uses 128).
+/// `complete(n)` has n(n−1)/2 edges, so at the sparse sizes (n = 20 000)
+/// it would take about 16 GB to build.
+const MAX_COMPLETE_BAKE_N: usize = 192;
+
 /// The network keys and advice keys baked for one `(n, seed)` cell.
 fn corpus(n: usize, seed: u64) -> (Vec<NetworkKey>, Vec<AdviceKey>) {
     let sparse_kt0 = NetworkKey {
@@ -46,18 +54,20 @@ fn corpus(n: usize, seed: u64) -> (Vec<NetworkKey>, Vec<AdviceKey>) {
         seed,
         mode: KnowledgeMode::Kt0,
     };
-    let networks = vec![
+    let mut networks = vec![
         sparse_kt0,
         NetworkKey {
             mode: KnowledgeMode::Kt1,
             ..sparse_kt0
         },
-        NetworkKey {
+    ];
+    if n <= MAX_COMPLETE_BAKE_N {
+        networks.push(NetworkKey {
             family: GraphFamily::Complete,
             mode: KnowledgeMode::Kt1,
             ..sparse_kt0
-        },
-    ];
+        });
+    }
     let advice = [
         SchemeId::BfsTree,
         SchemeId::Threshold,
@@ -299,6 +309,30 @@ mod tests {
         )
         .unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The complete family is baked up to its cap and not beyond; the
+    /// sparse networks and the advice are baked at every size.
+    #[test]
+    fn corpus_caps_the_complete_family() {
+        let (networks, advice) = corpus(MAX_COMPLETE_BAKE_N, 7);
+        assert_eq!(networks.len(), 3);
+        assert_eq!(
+            networks[2],
+            NetworkKey {
+                family: GraphFamily::Complete,
+                n: 192,
+                seed: 7,
+                mode: KnowledgeMode::Kt1,
+            }
+        );
+        assert_eq!(advice.len(), 6);
+        for n in [MAX_COMPLETE_BAKE_N + 1, 20_000] {
+            let (networks, advice) = corpus(n, 7);
+            assert_eq!(networks.len(), 2, "n = {n}");
+            assert!(networks.iter().all(|k| k.family == GraphFamily::Sparse));
+            assert_eq!(advice.len(), 6, "n = {n}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 
 use wakeup_scenario::conformance::{self, CheckReport};
 use wakeup_scenario::gen::SpecGen;
-use wakeup_scenario::{corpus, run as scenario_run, ProtocolSpec};
+use wakeup_scenario::{corpus, run as scenario_run, ScenarioSpec};
 
 use crate::{CliError, Summary};
 
@@ -106,36 +106,22 @@ pub fn cmd_fuzz(flags: &HashMap<String, String>) -> Result<(), CliError> {
 pub fn cmd_run_scenario(path: &str) -> Result<(), CliError> {
     let spec = corpus::load_file(Path::new(path))
         .map_err(|e| CliError(format!("scenario {path:?}: {e}")))?;
-    let graph = scenario_run::build_graph(&spec.graph);
-    let (n, m) = (graph.n(), graph.m());
-    let schedule = scenario_run::build_schedule(&spec);
-    let rho_awk = wakeup_graph::algo::awake_distance(&graph, &schedule.initially_awake());
-    let out = scenario_run::run_spec(&spec);
-    let report = &out.report;
-    let time = if spec.protocol.is_sync() {
-        report.rounds as f64
-    } else {
-        report.time_units()
-    };
-    let summary = Summary {
-        algorithm: match &spec.protocol {
-            ProtocolSpec::Thm6 { k } => format!("thm6:{k}"),
-            p => p.kind_tag().to_string(),
-        },
-        n,
-        m,
-        all_awake: report.all_awake,
-        messages: report.messages(),
-        time,
-        rho_awk,
-        advice: out.advice.as_ref().map(|a| (a.max_bits, a.avg_bits)),
-        leader: None,
-        wake_front: wakeup_sim::viz::wake_front_sparkline(&report.metrics.wake_tick, 40),
-        obs: report.obs_snapshot().summary_line(),
-    };
     println!("scenario  : {} ({path})", spec.name);
-    print!("{summary}");
+    print!("{}", scenario_summary(&spec));
     Ok(())
+}
+
+/// Runs a validated spec and summarizes it exactly as `wakeup run --algo`
+/// summarizes its runs.
+pub(crate) fn scenario_summary(spec: &ScenarioSpec) -> Summary {
+    let net = scenario_run::build_network(spec);
+    let run = scenario_run::run_spec_on(spec, &net);
+    Summary::new(
+        spec.protocol,
+        &net,
+        &scenario_run::build_schedule(spec),
+        &run,
+    )
 }
 
 #[cfg(test)]

@@ -27,19 +27,12 @@ pub use obs::cmd_obs;
 
 use std::fmt;
 
-use wakeup_core::advice::{run_scheme, BfsTreeScheme, CenScheme, SpannerScheme, ThresholdScheme};
-use wakeup_core::dfs_rank::DfsRank;
-use wakeup_core::fast_wakeup::FastWakeUp;
-use wakeup_core::flooding::FloodAsync;
-use wakeup_core::gossip::SetGossip;
-use wakeup_core::harness;
-use wakeup_core::leader::LeaderElect;
 use wakeup_graph::families::{ClassG, ClassGk};
 use wakeup_graph::{algo, generators, Graph, NodeId};
-use wakeup_sim::adversary::{
-    AdversarialDelay, DelayStrategy, RandomDelay, UnitDelay, WakeSchedule,
-};
-use wakeup_sim::{Network, TICKS_PER_UNIT};
+use wakeup_scenario::run::{self as scenario_run, SpecRun};
+use wakeup_scenario::{DelaySpec, EngineSpec, ProtocolSpec};
+use wakeup_sim::adversary::WakeSchedule;
+use wakeup_sim::{Network, WindowCfg};
 
 /// A CLI usage error with a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -296,110 +289,85 @@ pub fn parse_schedule(spec: &str, n: usize) -> Result<WakeSchedule, CliError> {
     }
 }
 
-/// Parses a delay-strategy specification (`unit`, `random:SEED`, `skewed:SALT`).
+/// Parses a delay-strategy specification (`unit`, `random:SEED`,
+/// `skewed:SALT`) into the [`DelaySpec`] it names.
 ///
 /// # Errors
 ///
 /// Returns a [`CliError`] for unknown strategies.
-pub fn parse_delays(spec: &str) -> Result<Box<dyn DelayStrategy>, CliError> {
+pub fn parse_delays(spec: &str) -> Result<DelaySpec, CliError> {
     let parts: Vec<&str> = spec.split(':').collect();
+    let param = |what: &str| parts.get(1).map_or(Ok(0), |p| parse_num(p, what));
     match parts[0] {
-        "unit" => Ok(Box::new(UnitDelay)),
-        "random" => {
-            let seed = if parts.len() > 1 {
-                parse_num(parts[1], "seed")?
-            } else {
-                0
-            };
-            Ok(Box::new(RandomDelay::new(seed)))
-        }
-        "skewed" => {
-            let salt = if parts.len() > 1 {
-                parse_num(parts[1], "salt")?
-            } else {
-                0
-            };
-            Ok(Box::new(AdversarialDelay::new(salt)))
-        }
+        "unit" => Ok(DelaySpec::Unit),
+        "random" => Ok(DelaySpec::Random {
+            seed: param("seed")?,
+        }),
+        "skewed" => Ok(DelaySpec::Adversarial {
+            salt: param("salt")?,
+        }),
         other => Err(err(format!(
             "unknown delay strategy {other:?} (try unit, random:SEED, skewed:SALT)"
         ))),
     }
 }
 
-/// The algorithms the CLI can run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Algorithm {
-    /// Async flooding baseline.
-    Flooding,
-    /// Theorem 3 (async KT1).
-    DfsRank,
-    /// Theorem 4 (sync KT1).
-    FastWakeUp,
-    /// Appendix-D-style set gossip (sync KT1).
-    Gossip,
-    /// Leader election extension (async KT1).
-    Leader,
-    /// Corollary 1 advice scheme (async KT0 CONGEST).
-    Cor1,
-    /// Theorem 5(A) advice scheme.
-    Thm5a,
-    /// Theorem 5(B) advice scheme.
-    Thm5b,
-    /// Theorem 6 advice scheme with stretch parameter k.
-    Thm6(usize),
-    /// Corollary 2 (Theorem 6 with k = ⌈log₂ n⌉).
-    Cor2,
+/// Parses an algorithm name into the protocol it runs.
+///
+/// # Errors
+///
+/// Returns a [`CliError`] for unknown names and a missing or zero `thm6`
+/// stretch parameter.
+///
+/// # Example
+///
+/// ```
+/// use wakeup_scenario::ProtocolSpec;
+/// assert_eq!(wakeup_cli::parse_algo("thm6:3").unwrap(), ProtocolSpec::Thm6 { k: 3 });
+/// assert!(wakeup_cli::parse_algo("thm6").is_err());
+/// ```
+pub fn parse_algo(spec: &str) -> Result<ProtocolSpec, CliError> {
+    let parts: Vec<&str> = spec.split(':').collect();
+    match parts[0] {
+        "flooding" => Ok(ProtocolSpec::Flooding),
+        "dfs-rank" => Ok(ProtocolSpec::DfsRank),
+        "fast-wakeup" => Ok(ProtocolSpec::FastWakeUp),
+        "gossip" => Ok(ProtocolSpec::Gossip),
+        "leader" => Ok(ProtocolSpec::Leader),
+        "cor1" => Ok(ProtocolSpec::Cor1),
+        "thm5a" => Ok(ProtocolSpec::Thm5a),
+        "thm5b" => Ok(ProtocolSpec::Thm5b),
+        "thm6" => {
+            if parts.len() != 2 {
+                return Err(err("thm6 needs a stretch parameter: thm6:K"));
+            }
+            let k = parse_num(parts[1], "k")?;
+            if k == 0 {
+                return Err(err("thm6 stretch parameter must be positive"));
+            }
+            Ok(ProtocolSpec::Thm6 { k })
+        }
+        "cor2" => Ok(ProtocolSpec::Cor2),
+        other => Err(err(format!(
+            "unknown algorithm {other:?} (try flooding, dfs-rank, fast-wakeup, gossip, \
+             leader, cor1, thm5a, thm5b, thm6:K, cor2)"
+        ))),
+    }
 }
 
-impl Algorithm {
-    /// Parses an algorithm name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CliError`] for unknown names.
-    pub fn parse(spec: &str) -> Result<Algorithm, CliError> {
-        let parts: Vec<&str> = spec.split(':').collect();
-        match parts[0] {
-            "flooding" => Ok(Algorithm::Flooding),
-            "dfs-rank" => Ok(Algorithm::DfsRank),
-            "fast-wakeup" => Ok(Algorithm::FastWakeUp),
-            "gossip" => Ok(Algorithm::Gossip),
-            "leader" => Ok(Algorithm::Leader),
-            "cor1" => Ok(Algorithm::Cor1),
-            "thm5a" => Ok(Algorithm::Thm5a),
-            "thm5b" => Ok(Algorithm::Thm5b),
-            "thm6" => {
-                if parts.len() != 2 {
-                    return Err(err("thm6 needs a stretch parameter: thm6:K"));
-                }
-                let k = parse_num(parts[1], "k")?;
-                if k == 0 {
-                    return Err(err("thm6 stretch parameter must be positive"));
-                }
-                Ok(Algorithm::Thm6(k))
-            }
-            "cor2" => Ok(Algorithm::Cor2),
-            other => Err(err(format!(
-                "unknown algorithm {other:?} (try flooding, dfs-rank, fast-wakeup, gossip, \
-                 leader, cor1, thm5a, thm5b, thm6:K, cor2)"
-            ))),
-        }
-    }
-
-    /// Whether this algorithm needs the KT1 knowledge mode.
-    pub fn needs_kt1(&self) -> bool {
-        matches!(
-            self,
-            Algorithm::DfsRank | Algorithm::FastWakeUp | Algorithm::Gossip | Algorithm::Leader
-        )
+/// The algorithm name of a protocol, the inverse of [`parse_algo`]: its
+/// spec `kind` tag, with `thm6`'s stretch parameter appended.
+pub(crate) fn algo_name(protocol: &ProtocolSpec) -> String {
+    match protocol {
+        ProtocolSpec::Thm6 { k } => format!("thm6:{k}"),
+        p => p.kind_tag().to_string(),
     }
 }
 
 /// A rendered execution summary.
 #[derive(Debug, Clone)]
 pub struct Summary {
-    /// Algorithm name as parsed.
+    /// Algorithm name as `--algo` spells it (`thm6:K` for Theorem 6).
     pub algorithm: String,
     /// Nodes.
     pub n: usize,
@@ -409,7 +377,8 @@ pub struct Summary {
     pub all_awake: bool,
     /// Message complexity.
     pub messages: u64,
-    /// Time in τ units (async) or rounds (sync).
+    /// Time in τ units (async) or rounds until every node is awake (sync);
+    /// see [`wakeup_scenario::run::run_time`].
     pub time: f64,
     /// Awake distance of the schedule.
     pub rho_awk: Option<usize>,
@@ -448,156 +417,74 @@ impl fmt::Display for Summary {
     }
 }
 
+impl Summary {
+    /// Summarizes a finished run of `protocol` on `net` under `schedule`.
+    pub(crate) fn new(
+        protocol: ProtocolSpec,
+        net: &Network,
+        schedule: &WakeSchedule,
+        run: &SpecRun,
+    ) -> Summary {
+        let report = &run.report;
+        Summary {
+            algorithm: algo_name(&protocol),
+            n: net.n(),
+            m: net.graph().m(),
+            all_awake: report.all_awake,
+            messages: report.messages(),
+            time: scenario_run::run_time(protocol, report),
+            rho_awk: algo::awake_distance(net.graph(), &schedule.initially_awake()),
+            advice: run.advice.as_ref().map(|a| (a.max_bits, a.avg_bits)),
+            leader: if protocol == ProtocolSpec::Leader {
+                report.outputs.first().copied().flatten()
+            } else {
+                None
+            },
+            wake_front: wakeup_sim::viz::wake_front_sparkline(&report.metrics.wake_tick, 40),
+            obs: report.obs_snapshot().summary_line(),
+        }
+    }
+}
+
 /// Runs an algorithm on a graph under a schedule and returns the summary.
+///
+/// The network takes the knowledge mode the algorithm is defined for, and
+/// the run goes through the scenario runner
+/// ([`wakeup_scenario::run::run_protocol`]) on one shard. Advising schemes
+/// run under unit delays whatever `delays` says.
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] if the combination is invalid (e.g. a KT1-only
-/// algorithm was requested but the run failed to wake everyone because the
-/// graph is disconnected).
+/// Returns a [`CliError`] for an unknown algorithm name.
 pub fn execute(
     algo_spec: &str,
     graph: Graph,
     schedule: &WakeSchedule,
     seed: u64,
-    delays: &mut dyn DelayStrategy,
+    delays: &DelaySpec,
 ) -> Result<Summary, CliError> {
-    let algorithm = Algorithm::parse(algo_spec)?;
-    let n = graph.n();
-    let m = graph.m();
-    let rho_awk = algo::awake_distance(&graph, &schedule.initially_awake());
-    let net = if algorithm.needs_kt1() {
-        Network::kt1(graph, seed)
+    let protocol = parse_algo(algo_spec)?;
+    let net = scenario_run::network_for(protocol, graph, seed);
+    let delays = if protocol.is_scheme() {
+        &DelaySpec::Unit
     } else {
-        Network::kt0(graph, seed)
+        delays
     };
-    let mut advice = None;
-    let mut leader = None;
-    #[allow(unused_assignments)]
-    let mut front = String::new();
-    let obs_line: String;
-    let (all_awake, messages, time) = match algorithm {
-        Algorithm::Flooding => {
-            let run = harness::run_async_with_delays::<FloodAsync>(&net, schedule, seed, delays);
-            front = wakeup_sim::viz::wake_front_sparkline(&run.report.metrics.wake_tick, 40);
-            obs_line = run.report.obs_snapshot().summary_line();
-            (
-                run.report.all_awake,
-                run.report.messages(),
-                run.report.time_units(),
-            )
-        }
-        Algorithm::DfsRank => {
-            let run = harness::run_async_with_delays::<DfsRank>(&net, schedule, seed, delays);
-            front = wakeup_sim::viz::wake_front_sparkline(&run.report.metrics.wake_tick, 40);
-            obs_line = run.report.obs_snapshot().summary_line();
-            (
-                run.report.all_awake,
-                run.report.messages(),
-                run.report.time_units(),
-            )
-        }
-        Algorithm::Leader => {
-            let run = harness::run_async_with_delays::<LeaderElect>(&net, schedule, seed, delays);
-            leader = run.report.outputs.first().copied().flatten();
-            front = wakeup_sim::viz::wake_front_sparkline(&run.report.metrics.wake_tick, 40);
-            obs_line = run.report.obs_snapshot().summary_line();
-            (
-                run.report.all_awake,
-                run.report.messages(),
-                run.report.time_units(),
-            )
-        }
-        Algorithm::FastWakeUp => {
-            let run = harness::run_sync::<FastWakeUp>(&net, schedule, seed);
-            front = wakeup_sim::viz::wake_front_sparkline(&run.report.metrics.wake_tick, 40);
-            obs_line = run.report.obs_snapshot().summary_line();
-            let rounds = run
-                .report
-                .metrics
-                .all_awake_tick
-                .map_or(run.report.rounds as f64, |t| (t / TICKS_PER_UNIT) as f64);
-            (run.report.all_awake, run.report.messages(), rounds)
-        }
-        Algorithm::Gossip => {
-            let run = harness::run_sync::<SetGossip>(&net, schedule, seed);
-            front = wakeup_sim::viz::wake_front_sparkline(&run.report.metrics.wake_tick, 40);
-            obs_line = run.report.obs_snapshot().summary_line();
-            (
-                run.report.all_awake,
-                run.report.messages(),
-                run.report.rounds as f64,
-            )
-        }
-        Algorithm::Cor1 => {
-            let run = run_scheme(&BfsTreeScheme::new(), &net, schedule, seed);
-            advice = Some((run.advice.max_bits, run.advice.avg_bits));
-            front = wakeup_sim::viz::wake_front_sparkline(&run.report.metrics.wake_tick, 40);
-            obs_line = run.report.obs_snapshot().summary_line();
-            (
-                run.report.all_awake,
-                run.report.messages(),
-                run.report.time_units(),
-            )
-        }
-        Algorithm::Thm5a => {
-            let run = run_scheme(&ThresholdScheme::new(), &net, schedule, seed);
-            advice = Some((run.advice.max_bits, run.advice.avg_bits));
-            front = wakeup_sim::viz::wake_front_sparkline(&run.report.metrics.wake_tick, 40);
-            obs_line = run.report.obs_snapshot().summary_line();
-            (
-                run.report.all_awake,
-                run.report.messages(),
-                run.report.time_units(),
-            )
-        }
-        Algorithm::Thm5b => {
-            let run = run_scheme(&CenScheme::new(), &net, schedule, seed);
-            advice = Some((run.advice.max_bits, run.advice.avg_bits));
-            front = wakeup_sim::viz::wake_front_sparkline(&run.report.metrics.wake_tick, 40);
-            obs_line = run.report.obs_snapshot().summary_line();
-            (
-                run.report.all_awake,
-                run.report.messages(),
-                run.report.time_units(),
-            )
-        }
-        Algorithm::Thm6(k) => {
-            let run = run_scheme(&SpannerScheme::new(k), &net, schedule, seed);
-            advice = Some((run.advice.max_bits, run.advice.avg_bits));
-            front = wakeup_sim::viz::wake_front_sparkline(&run.report.metrics.wake_tick, 40);
-            obs_line = run.report.obs_snapshot().summary_line();
-            (
-                run.report.all_awake,
-                run.report.messages(),
-                run.report.time_units(),
-            )
-        }
-        Algorithm::Cor2 => {
-            let run = run_scheme(&SpannerScheme::log_instantiation(n), &net, schedule, seed);
-            advice = Some((run.advice.max_bits, run.advice.avg_bits));
-            front = wakeup_sim::viz::wake_front_sparkline(&run.report.metrics.wake_tick, 40);
-            obs_line = run.report.obs_snapshot().summary_line();
-            (
-                run.report.all_awake,
-                run.report.messages(),
-                run.report.time_units(),
-            )
-        }
+    let engine = EngineSpec {
+        seed,
+        shards: 1,
+        audit: false,
     };
-    Ok(Summary {
-        algorithm: algo_spec.to_string(),
-        n,
-        m,
-        all_awake,
-        messages,
-        time,
-        rho_awk,
-        advice,
-        leader,
-        wake_front: front,
-        obs: obs_line,
-    })
+    let run = scenario_run::run_protocol(
+        protocol,
+        &net,
+        schedule,
+        delays,
+        &engine,
+        WindowCfg::Log2,
+        None,
+    );
+    Ok(Summary::new(protocol, &net, schedule, &run))
 }
 
 /// Runs a size sweep of one algorithm over a graph family, returning one
@@ -628,8 +515,13 @@ pub fn sweep(
         };
         let graph = parse_graph(&spec)?;
         let schedule = parse_schedule("single:0", graph.n())?;
-        let mut delays = parse_delays("unit")?;
-        out.push(execute(algo_spec, graph, &schedule, seed, delays.as_mut())?);
+        out.push(execute(
+            algo_spec,
+            graph,
+            &schedule,
+            seed,
+            &DelaySpec::Unit,
+        )?);
     }
     Ok(out)
 }
@@ -668,13 +560,12 @@ pub fn run_trials(
     let mut messages = Vec::with_capacity(trials);
     let mut times: Vec<f64> = Vec::with_capacity(trials);
     for i in 0..trials {
-        let mut delays = parse_delays("unit")?;
         let s = execute(
             algo_spec,
             graph.clone(),
             schedule,
             base_seed + i as u64,
-            delays.as_mut(),
+            &DelaySpec::Unit,
         )?;
         successes += usize::from(s.all_awake);
         messages.push(s.messages);
@@ -715,6 +606,8 @@ pub fn graph_info(graph: &Graph) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::scenario_summary;
+    use wakeup_scenario::{GraphSpec, ScenarioSpec, WakeSpec};
 
     #[test]
     fn graph_specs_parse() {
@@ -761,21 +654,58 @@ mod tests {
 
     #[test]
     fn delay_specs_parse() {
-        assert!(parse_delays("unit").is_ok());
-        assert!(parse_delays("random:5").is_ok());
-        assert!(parse_delays("skewed").is_ok());
+        assert_eq!(parse_delays("unit").unwrap(), DelaySpec::Unit);
+        assert_eq!(
+            parse_delays("random:5").unwrap(),
+            DelaySpec::Random { seed: 5 }
+        );
+        assert_eq!(
+            parse_delays("skewed").unwrap(),
+            DelaySpec::Adversarial { salt: 0 }
+        );
+        assert!(parse_delays("random:x").is_err());
         assert!(parse_delays("warp").is_err());
     }
 
     #[test]
     fn algorithm_specs_parse() {
-        assert_eq!(Algorithm::parse("dfs-rank").unwrap(), Algorithm::DfsRank);
-        assert_eq!(Algorithm::parse("thm6:3").unwrap(), Algorithm::Thm6(3));
-        assert!(Algorithm::parse("thm6").is_err());
-        assert!(Algorithm::parse("thm6:0").is_err());
-        assert!(Algorithm::parse("magic").is_err());
-        assert!(Algorithm::parse("fast-wakeup").unwrap().needs_kt1());
-        assert!(!Algorithm::parse("cor1").unwrap().needs_kt1());
+        assert_eq!(parse_algo("dfs-rank").unwrap(), ProtocolSpec::DfsRank);
+        assert_eq!(parse_algo("thm6:3").unwrap(), ProtocolSpec::Thm6 { k: 3 });
+        assert_eq!(
+            parse_algo("thm6").unwrap_err().0,
+            "thm6 needs a stretch parameter: thm6:K"
+        );
+        assert_eq!(
+            parse_algo("thm6:0").unwrap_err().0,
+            "thm6 stretch parameter must be positive"
+        );
+        assert!(parse_algo("magic")
+            .unwrap_err()
+            .0
+            .starts_with("unknown algorithm \"magic\""));
+        assert!(parse_algo("nih").is_err());
+        assert_eq!(
+            parse_algo("fast-wakeup").unwrap().knowledge_mode(),
+            wakeup_sim::KnowledgeMode::Kt1
+        );
+        assert_eq!(
+            parse_algo("cor1").unwrap().knowledge_mode(),
+            wakeup_sim::KnowledgeMode::Kt0
+        );
+        for name in [
+            "flooding",
+            "dfs-rank",
+            "fast-wakeup",
+            "gossip",
+            "leader",
+            "cor1",
+            "thm5a",
+            "thm5b",
+            "thm6:2",
+            "cor2",
+        ] {
+            assert_eq!(algo_name(&parse_algo(name).unwrap()), name);
+        }
     }
 
     #[test]
@@ -794,8 +724,7 @@ mod tests {
         ] {
             let g = parse_graph("gnp:30:0.2:5").unwrap();
             let schedule = parse_schedule("single:0", 30).unwrap();
-            let mut delays = parse_delays("unit").unwrap();
-            let summary = execute(spec, g, &schedule, 7, delays.as_mut()).unwrap();
+            let summary = execute(spec, g, &schedule, 7, &DelaySpec::Unit).unwrap();
             assert!(summary.all_awake, "{spec}");
             assert!(summary.messages > 0, "{spec}");
             let text = summary.to_string();
@@ -807,10 +736,73 @@ mod tests {
     fn leader_summary_reports_winner() {
         let g = parse_graph("cycle:12").unwrap();
         let schedule = parse_schedule("single:4", 12).unwrap();
-        let mut delays = parse_delays("unit").unwrap();
-        let summary = execute("leader", g, &schedule, 3, delays.as_mut()).unwrap();
+        let summary = execute("leader", g, &schedule, 3, &DelaySpec::Unit).unwrap();
         assert!(summary.leader.is_some());
         assert!(summary.to_string().contains("leader"));
+    }
+
+    /// The `--graph`, `--wake` and `--delays` values that describe a spec's
+    /// workload, or `None` when the flags cannot express it.
+    fn cli_flags(spec: &ScenarioSpec) -> Option<(String, String, String)> {
+        let expressible = spec.engine.shards == 1
+            && spec.report.as_ref().is_none_or(|r| r.obs.is_none())
+            && parse_algo(&algo_name(&spec.protocol)).is_ok()
+            // Advising schemes run under unit delays whatever --delays says.
+            && (!spec.protocol.is_scheme() || spec.delays == DelaySpec::Unit);
+        if !expressible {
+            return None;
+        }
+        let graph = match spec.graph {
+            GraphSpec::Sparse { n, seed } => format!("gnp:{n}:{}:{seed}", 8.0 / n as f64),
+            GraphSpec::Complete { n } => format!("complete:{n}"),
+            GraphSpec::Gnp { n, p, seed } => format!("gnp:{n}:{p}:{seed}"),
+            GraphSpec::Grid { rows, cols } => format!("grid:{rows}:{cols}"),
+            GraphSpec::ClassG { parameter } => format!("classg:{parameter}"),
+            GraphSpec::Torus { .. } | GraphSpec::PowerLaw { .. } => return None,
+        };
+        let wake = match &spec.wake {
+            WakeSpec::Single { node } => format!("single:{node}"),
+            WakeSpec::All => "all".to_string(),
+            WakeSpec::Staggered { gap } => format!("stagger:1:{gap}"),
+            WakeSpec::Pairs { pairs } => {
+                let pairs: Vec<String> = pairs.iter().map(|(v, t)| format!("{v}@{t}")).collect();
+                format!("at:{}", pairs.join(","))
+            }
+            WakeSpec::Centers => return None,
+        };
+        let delays = match spec.delays {
+            DelaySpec::Unit => "unit".to_string(),
+            DelaySpec::Random { seed } => format!("random:{seed}"),
+            DelaySpec::Adversarial { salt } => format!("skewed:{salt}"),
+            DelaySpec::FifoWorst | DelaySpec::Capped { .. } => return None,
+        };
+        Some((graph, wake, delays))
+    }
+
+    /// `run --algo` and `run --scenario` print the same summary for every
+    /// corpus spec the flags can express.
+    #[test]
+    fn algo_and_scenario_summaries_agree() {
+        let mut compared = Vec::new();
+        for (path, spec) in wakeup_scenario::corpus::all().unwrap() {
+            let Some((graph, wake, delays)) = cli_flags(&spec) else {
+                continue;
+            };
+            let graph = parse_graph(&graph).unwrap();
+            let schedule = parse_schedule(&wake, graph.n()).unwrap();
+            let delays = parse_delays(&delays).unwrap();
+            let algo = algo_name(&spec.protocol);
+            let flags = execute(&algo, graph, &schedule, spec.engine.seed, &delays).unwrap();
+            assert_eq!(
+                flags.to_string(),
+                scenario_summary(&spec).to_string(),
+                "{}",
+                path.display()
+            );
+            compared.push(path.file_name().unwrap().to_string_lossy().into_owned());
+        }
+        assert!(compared.iter().any(|f| f == "03-thm4.json"), "{compared:?}");
+        assert!(compared.len() >= 15, "{compared:?}");
     }
 
     #[test]

@@ -105,14 +105,8 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), CliError> {
         s.parse()
             .map_err(|_| CliError(format!("invalid seed {s:?}")))
     })?;
-    let mut delays = parse_delays(flags.get("delays").map_or("unit", String::as_str))?;
-    let summary = execute(
-        required(flags, "algo")?,
-        graph,
-        &schedule,
-        seed,
-        delays.as_mut(),
-    )?;
+    let delays = parse_delays(flags.get("delays").map_or("unit", String::as_str))?;
+    let summary = execute(required(flags, "algo")?, graph, &schedule, seed, &delays)?;
     print!("{summary}");
     Ok(())
 }

@@ -90,10 +90,17 @@ mod tests {
     use super::*;
     use crate::dfs_rank::DfsRank;
     use crate::flooding::FloodAsync;
-    use crate::harness;
     use wakeup_graph::{generators, NodeId};
     use wakeup_sim::adversary::WakeSchedule;
-    use wakeup_sim::Network;
+    use wakeup_sim::{AsyncConfig, AsyncEngine, AsyncProtocol, Network, RunReport};
+
+    fn run<P: AsyncProtocol>(net: &Network, schedule: &WakeSchedule, seed: u64) -> RunReport {
+        let config = AsyncConfig {
+            seed,
+            ..AsyncConfig::default()
+        };
+        AsyncEngine::<P>::new(net, config).run(schedule)
+    }
 
     #[test]
     fn gini_extremes() {
@@ -109,9 +116,9 @@ mod tests {
     fn profile_conserves_totals() {
         let g = generators::erdos_renyi_connected(40, 0.15, 1).unwrap();
         let net = Network::kt0(g, 1);
-        let run = harness::run_async::<FloodAsync>(&net, &WakeSchedule::single(NodeId::new(0)), 1);
-        let profile = EnergyReport::from_metrics(&run.report.metrics);
-        assert_eq!(profile.total, 2 * run.report.messages());
+        let report = run::<FloodAsync>(&net, &WakeSchedule::single(NodeId::new(0)), 1);
+        let profile = EnergyReport::from_metrics(&report.metrics);
+        assert_eq!(profile.total, 2 * report.messages());
         assert!(profile.max >= profile.mean as u64);
         assert!((0.0..=1.0).contains(&profile.gini));
     }
@@ -121,8 +128,8 @@ mod tests {
         // Under flooding each node sends deg and receives deg: load = 2·deg.
         let g = generators::star(20).unwrap();
         let net = Network::kt0(g, 2);
-        let run = harness::run_async::<FloodAsync>(&net, &WakeSchedule::single(NodeId::new(0)), 2);
-        let profile = EnergyReport::from_metrics(&run.report.metrics);
+        let report = run::<FloodAsync>(&net, &WakeSchedule::single(NodeId::new(0)), 2);
+        let profile = EnergyReport::from_metrics(&report.metrics);
         assert_eq!(profile.load[0], 2 * 19, "hub handles 2·deg");
         assert_eq!(profile.load[5], 2, "leaves handle 2");
     }
@@ -133,10 +140,10 @@ mod tests {
         let net0 = Network::kt0(g.clone(), 3);
         let net1 = Network::kt1(g, 3);
         let schedule = WakeSchedule::single(NodeId::new(0));
-        let flood = harness::run_async::<FloodAsync>(&net0, &schedule, 3);
-        let dfs = harness::run_async::<DfsRank>(&net1, &schedule, 3);
-        let ef = EnergyReport::from_metrics(&flood.report.metrics);
-        let ed = EnergyReport::from_metrics(&dfs.report.metrics);
+        let flood = run::<FloodAsync>(&net0, &schedule, 3);
+        let dfs = run::<DfsRank>(&net1, &schedule, 3);
+        let ef = EnergyReport::from_metrics(&flood.metrics);
+        let ed = EnergyReport::from_metrics(&dfs.metrics);
         assert!(
             ed.total < ef.total,
             "DFS total energy below flooding on K_n"

@@ -21,13 +21,14 @@
 //! # Quick start
 //!
 //! ```
-//! use wakeup_core::{dfs_rank::DfsRank, harness};
+//! use wakeup_core::dfs_rank::DfsRank;
 //! use wakeup_graph::{generators, NodeId};
-//! use wakeup_sim::{adversary::WakeSchedule, Network};
+//! use wakeup_sim::{adversary::WakeSchedule, AsyncConfig, AsyncEngine, Network};
 //!
 //! let net = Network::kt1(generators::erdos_renyi_connected(50, 0.1, 7)?, 7);
-//! let run = harness::run_async::<DfsRank>(&net, &WakeSchedule::single(NodeId::new(0)), 1);
-//! assert!(run.report.all_awake);
+//! let config = AsyncConfig { seed: 1, ..AsyncConfig::default() };
+//! let report = AsyncEngine::<DfsRank>::new(&net, config).run(&WakeSchedule::single(NodeId::new(0)));
+//! assert!(report.all_awake);
 //! # Ok::<(), wakeup_graph::GraphError>(())
 //! ```
 
@@ -41,6 +42,5 @@ pub mod energy;
 pub mod fast_wakeup;
 pub mod flooding;
 pub mod gossip;
-pub mod harness;
 pub mod leader;
 pub mod nih;

@@ -284,9 +284,20 @@ fn audit() -> Vec<(&'static str, ScenarioSpec)> {
                 "audit-fast-wakeup",
                 GraphSpec::Sparse { n: 24, seed: 7 },
                 ProtocolSpec::FastWakeUp,
-                staggered_pairs,
+                staggered_pairs.clone(),
                 DelaySpec::Unit,
                 6,
+            ),
+        ),
+        (
+            "08-leader.json",
+            base(
+                "audit-leader",
+                GraphSpec::Sparse { n: 40, seed: 7 },
+                ProtocolSpec::Leader,
+                staggered_pairs,
+                DelaySpec::Adversarial { salt: 9 },
+                4,
             ),
         ),
     ]

@@ -1,16 +1,20 @@
-//! The generic spec runner: build the graph, network, schedule, and delay
-//! strategy a [`ScenarioSpec`] describes, dispatch on the protocol, and run.
+//! The one runner: build the graph, network, schedule, and delay strategy
+//! a [`ScenarioSpec`] describes, dispatch on the protocol, and run.
 //!
-//! This is the one path a Table 1 cell runs through: the report binaries
-//! and benches measure each cell with `wakeup_bench::run_cell`, which
-//! supplies a cached network and cached oracle advice to
-//! [`run_spec_advised`]. The `scenarios` integration tests pin every
-//! corpus row to the same [`wakeup_sim::RunDigest`] as the
-//! `wakeup_core::harness` entry points.
+//! Every workload runs through [`run_protocol`]: specs through
+//! [`run_spec`] and [`run_spec_advised`], and callers with a graph no
+//! [`GraphSpec`] family describes (the CLI's `file:` and `ws:` graphs)
+//! with a network and schedule they built themselves. The report binaries and benches measure each Table 1 cell
+//! with `wakeup_bench::run_cell`, which supplies a cached network and
+//! cached oracle advice to [`run_spec_advised`]. The `scenarios`
+//! integration tests pin every Table 1 row to the same
+//! [`wakeup_sim::RunDigest`] as a direct engine call.
 
 use std::sync::Arc;
 
-use crate::spec::{DelaySpec, GraphSpec, ObsWindowSpec, ProtocolSpec, ScenarioSpec, WakeSpec};
+use crate::spec::{
+    DelaySpec, EngineSpec, GraphSpec, ObsWindowSpec, ProtocolSpec, ScenarioSpec, WakeSpec,
+};
 use wakeup_core::advice::{
     AdvisingScheme, BfsTreeScheme, CenScheme, SpannerScheme, ThresholdScheme,
 };
@@ -18,6 +22,7 @@ use wakeup_core::dfs_rank::DfsRank;
 use wakeup_core::fast_wakeup::FastWakeUp;
 use wakeup_core::flooding::FloodAsync;
 use wakeup_core::gossip::SetGossip;
+use wakeup_core::leader::LeaderElect;
 use wakeup_core::nih::Nih;
 use wakeup_graph::families::{ClassG, PowerLaw, Torus};
 use wakeup_graph::{generators, Graph, NodeId};
@@ -28,7 +33,7 @@ use wakeup_sim::adversary::{
 use wakeup_sim::advice::AdviceStats;
 use wakeup_sim::{
     AsyncConfig, AsyncEngine, AsyncProtocol, BitStr, ChannelModel, KnowledgeMode, Network,
-    RunReport, SyncConfig, SyncEngine, SyncProtocol, WindowCfg,
+    RunReport, SyncConfig, SyncEngine, SyncProtocol, WindowCfg, TICKS_PER_UNIT,
 };
 
 /// Builds the graph a validated spec describes.
@@ -67,10 +72,15 @@ pub fn build_graph(graph: &GraphSpec) -> Graph {
 /// convention; for `sparse` rows the graph seed equals the engine seed,
 /// matching the benchmark artifact keys).
 pub fn build_network(spec: &ScenarioSpec) -> Network {
-    let graph = build_graph(&spec.graph);
-    match spec.protocol.knowledge_mode() {
-        KnowledgeMode::Kt0 => Network::kt0(graph, spec.engine.seed),
-        KnowledgeMode::Kt1 => Network::kt1(graph, spec.engine.seed),
+    network_for(spec.protocol, build_graph(&spec.graph), spec.engine.seed)
+}
+
+/// Builds the network `protocol` runs on: `graph` under the knowledge mode
+/// the protocol is defined for, ports and IDs seeded with `seed`.
+pub fn network_for(protocol: ProtocolSpec, graph: Graph, seed: u64) -> Network {
+    match protocol.knowledge_mode() {
+        KnowledgeMode::Kt0 => Network::kt0(graph, seed),
+        KnowledgeMode::Kt1 => Network::kt1(graph, seed),
     }
 }
 
@@ -155,13 +165,13 @@ pub fn dispatch_async<V: AsyncDispatch>(
     net: &Network,
     visitor: V,
 ) -> Option<(V::Out, Option<AdviceStats>)> {
-    dispatch_async_advised(spec, net, None, visitor)
+    dispatch_async_advised(spec.protocol, net, None, visitor)
 }
 
-/// [`dispatch_async`] with an advising scheme's oracle advice supplied by
-/// the caller; `None` runs the scheme's oracle on `net`.
+/// [`dispatch_async`] on a bare protocol, with an advising scheme's oracle
+/// advice supplied by the caller; `None` runs the scheme's oracle on `net`.
 fn dispatch_async_advised<V: AsyncDispatch>(
-    spec: &ScenarioSpec,
+    protocol: ProtocolSpec,
     net: &Network,
     advice: Option<Arc<Vec<BitStr>>>,
     visitor: V,
@@ -181,10 +191,11 @@ fn dispatch_async_advised<V: AsyncDispatch>(
         ))
     }
     let plain = |out| Some((out, None));
-    match spec.protocol {
+    match protocol {
         ProtocolSpec::Flooding => plain(visitor.call::<FloodAsync>(net, ChannelModel::Local, None)),
         ProtocolSpec::DfsRank => plain(visitor.call::<DfsRank>(net, ChannelModel::Local, None)),
         ProtocolSpec::Nih => plain(visitor.call::<Nih<FloodAsync>>(net, ChannelModel::Local, None)),
+        ProtocolSpec::Leader => plain(visitor.call::<LeaderElect>(net, ChannelModel::Local, None)),
         ProtocolSpec::Cor1 => scheme(&BfsTreeScheme::new(), net, advice, visitor),
         ProtocolSpec::Thm5a => scheme(&ThresholdScheme::new(), net, advice, visitor),
         ProtocolSpec::Thm5b => scheme(&CenScheme::new(), net, advice, visitor),
@@ -215,7 +226,15 @@ pub fn dispatch_sync<V: SyncDispatch>(
     net: &Network,
     visitor: V,
 ) -> Option<V::Out> {
-    match spec.protocol {
+    dispatch_sync_protocol(spec.protocol, net, visitor)
+}
+
+fn dispatch_sync_protocol<V: SyncDispatch>(
+    protocol: ProtocolSpec,
+    net: &Network,
+    visitor: V,
+) -> Option<V::Out> {
+    match protocol {
         ProtocolSpec::FastWakeUp => Some(visitor.call::<FastWakeUp>(net)),
         ProtocolSpec::Gossip => Some(visitor.call::<SetGossip>(net)),
         _ => None,
@@ -238,28 +257,43 @@ pub fn async_config(
     channel: ChannelModel,
     advice: Option<Arc<Vec<BitStr>>>,
 ) -> AsyncConfig {
+    engine_async_config(&spec.engine, obs_windows(spec), channel, advice)
+}
+
+fn engine_async_config(
+    engine: &EngineSpec,
+    obs_windows: WindowCfg,
+    channel: ChannelModel,
+    advice: Option<Arc<Vec<BitStr>>>,
+) -> AsyncConfig {
     AsyncConfig {
         channel,
-        seed: spec.engine.seed,
+        seed: engine.seed,
         advice,
-        shards: spec.engine.shards,
-        obs_windows: obs_windows(spec),
+        shards: engine.shards,
+        obs_windows,
         ..AsyncConfig::default()
     }
 }
 
 /// The sync engine configuration a spec pins.
 pub fn sync_config(spec: &ScenarioSpec) -> SyncConfig {
+    engine_sync_config(&spec.engine, obs_windows(spec))
+}
+
+fn engine_sync_config(engine: &EngineSpec, obs_windows: WindowCfg) -> SyncConfig {
     SyncConfig {
-        seed: spec.engine.seed,
-        shards: spec.engine.shards,
-        obs_windows: obs_windows(spec),
+        seed: engine.seed,
+        shards: engine.shards,
+        obs_windows,
         ..SyncConfig::default()
     }
 }
 
 struct PlainRun<'s> {
-    spec: &'s ScenarioSpec,
+    engine: &'s EngineSpec,
+    obs_windows: WindowCfg,
+    delays: &'s DelaySpec,
     schedule: &'s WakeSchedule,
 }
 
@@ -272,8 +306,8 @@ impl AsyncDispatch for PlainRun<'_> {
         channel: ChannelModel,
         advice: Option<Arc<Vec<BitStr>>>,
     ) -> RunReport {
-        let config = async_config(self.spec, channel, advice);
-        let mut delays = build_delays(&self.spec.delays);
+        let config = engine_async_config(self.engine, self.obs_windows, channel, advice);
+        let mut delays = build_delays(self.delays);
         AsyncEngine::<P>::new(net, config).run_with(self.schedule, &mut delays)
     }
 }
@@ -282,7 +316,8 @@ impl SyncDispatch for PlainRun<'_> {
     type Out = RunReport;
 
     fn call<P: SyncProtocol>(self, net: &Network) -> RunReport {
-        SyncEngine::<P>::new(net, sync_config(self.spec)).run(self.schedule)
+        let config = engine_sync_config(self.engine, self.obs_windows);
+        SyncEngine::<P>::new(net, config).run(self.schedule)
     }
 }
 
@@ -310,26 +345,69 @@ pub fn run_spec_advised(
     net: &Network,
     advice: Option<Arc<Vec<BitStr>>>,
 ) -> SpecRun {
+    run_protocol(
+        spec.protocol,
+        net,
+        &build_schedule(spec),
+        &spec.delays,
+        &spec.engine,
+        obs_windows(spec),
+        advice,
+    )
+}
+
+/// Runs `protocol` on a caller-built network and wake schedule, under the
+/// delay strategy (async protocols only) and the engine seed and shard
+/// count the specs give; `advice` as in [`run_spec_advised`]. This is the
+/// entry every run goes through; it is public for graphs no [`GraphSpec`]
+/// family describes.
+///
+/// # Panics
+///
+/// Panics if advice is supplied for a protocol that takes none.
+pub fn run_protocol(
+    protocol: ProtocolSpec,
+    net: &Network,
+    schedule: &WakeSchedule,
+    delays: &DelaySpec,
+    engine: &EngineSpec,
+    obs_windows: WindowCfg,
+    advice: Option<Arc<Vec<BitStr>>>,
+) -> SpecRun {
     assert!(
-        advice.is_none() || spec.protocol.is_scheme(),
-        "protocol {:?} takes no advice",
-        spec.protocol
+        advice.is_none() || protocol.is_scheme(),
+        "protocol {protocol:?} takes no advice"
     );
-    let schedule = build_schedule(spec);
     let visitor = PlainRun {
-        spec,
-        schedule: &schedule,
+        engine,
+        obs_windows,
+        delays,
+        schedule,
     };
-    if spec.protocol.is_sync() {
-        let report = dispatch_sync(spec, net, visitor).expect("sync protocol");
+    if protocol.is_sync() {
+        let report = dispatch_sync_protocol(protocol, net, visitor).expect("sync protocol");
         SpecRun {
             report,
             advice: None,
         }
     } else {
         let (report, advice) =
-            dispatch_async_advised(spec, net, advice, visitor).expect("async protocol");
+            dispatch_async_advised(protocol, net, advice, visitor).expect("async protocol");
         SpecRun { report, advice }
+    }
+}
+
+/// A run's time, the one definition every printed time uses: τ units for
+/// async protocols; for sync protocols the rounds until every node is
+/// awake, or every round run when a node stays asleep.
+pub fn run_time(protocol: ProtocolSpec, report: &RunReport) -> f64 {
+    if protocol.is_sync() {
+        report
+            .metrics
+            .all_awake_tick
+            .map_or(report.rounds as f64, |t| (t / TICKS_PER_UNIT) as f64)
+    } else {
+        report.time_units()
     }
 }
 
@@ -371,11 +449,15 @@ mod tests {
         let run = run_spec(&s);
         assert!(run.report.all_awake);
         let net = Network::kt0(build_graph(&s.graph), 7);
-        let reference = wakeup_core::harness::run_async::<FloodAsync>(&net, &build_schedule(&s), 7);
-        assert_eq!(run.report.messages(), reference.report.messages());
+        let config = AsyncConfig {
+            seed: 7,
+            ..AsyncConfig::default()
+        };
+        let reference = AsyncEngine::<FloodAsync>::new(&net, config).run(&build_schedule(&s));
+        assert_eq!(run.report.messages(), reference.messages());
         assert_eq!(
             run.report.time_units().to_bits(),
-            reference.report.time_units().to_bits()
+            reference.time_units().to_bits()
         );
     }
 
@@ -460,6 +542,71 @@ mod tests {
         assert_eq!(
             serial.report.obs_snapshot().to_json(),
             sharded.report.obs_snapshot().to_json()
+        );
+    }
+
+    /// A leader spec runs on KT1 through the async engine and matches a
+    /// direct `LeaderElect` run, elected leader included.
+    #[test]
+    fn leader_spec_matches_engine_run() {
+        let s = spec(
+            GraphSpec::Sparse { n: 40, seed: 7 },
+            ProtocolSpec::Leader,
+            WakeSpec::Staggered { gap: 0.5 },
+            DelaySpec::Random { seed: 3 },
+        );
+        s.validate().unwrap();
+        let run = run_spec(&s);
+        assert!(run.report.all_awake);
+        assert!(run.advice.is_none());
+        let net = Network::kt1(build_graph(&s.graph), 7);
+        let config = AsyncConfig {
+            seed: 7,
+            ..AsyncConfig::default()
+        };
+        let reference = AsyncEngine::<LeaderElect>::new(&net, config)
+            .run_with(&build_schedule(&s), &mut RandomDelay::new(3));
+        assert_eq!(
+            wakeup_sim::RunDigest::of(&run.report).diff(&wakeup_sim::RunDigest::of(&reference)),
+            Vec::<String>::new()
+        );
+        assert!(run.report.outputs[0].is_some(), "node 0 learns the leader");
+        assert_eq!(run.report.outputs, reference.outputs);
+    }
+
+    /// Sync time is the rounds until every node is awake (0 when all start
+    /// awake), falling back to every round run when a node stays asleep.
+    #[test]
+    fn run_time_counts_rounds_until_all_awake() {
+        let mut fast = spec(
+            GraphSpec::Complete { n: 16 },
+            ProtocolSpec::FastWakeUp,
+            WakeSpec::All,
+            DelaySpec::Unit,
+        );
+        let report = run_spec(&fast).report;
+        assert!(report.rounds > 0);
+        assert_eq!(run_time(fast.protocol, &report), 0.0);
+
+        fast.wake = WakeSpec::Single { node: 0 };
+        let report = run_spec(&fast).report;
+        let all = report.metrics.all_awake_tick.unwrap() / TICKS_PER_UNIT;
+        assert_eq!(run_time(fast.protocol, &report), all as f64);
+
+        let mut asleep = report.clone();
+        asleep.metrics.all_awake_tick = None;
+        assert_eq!(run_time(fast.protocol, &asleep), asleep.rounds as f64);
+
+        let flood = spec(
+            GraphSpec::Sparse { n: 32, seed: 7 },
+            ProtocolSpec::Flooding,
+            WakeSpec::Single { node: 0 },
+            DelaySpec::Unit,
+        );
+        let report = run_spec(&flood).report;
+        assert_eq!(
+            run_time(flood.protocol, &report).to_bits(),
+            report.time_units().to_bits()
         );
     }
 }

@@ -239,6 +239,9 @@ pub enum ProtocolSpec {
     },
     /// Corollary 2: the spanner scheme at `k = ⌈log₂ n⌉`.
     Cor2,
+    /// Leader election under adversarial wake-up (KT1), an extension with
+    /// no Table 1 row.
+    Leader,
 }
 
 impl ProtocolSpec {
@@ -263,9 +266,10 @@ impl ProtocolSpec {
     /// The knowledge mode the protocol is defined for.
     pub fn knowledge_mode(&self) -> wakeup_sim::KnowledgeMode {
         match self {
-            ProtocolSpec::DfsRank | ProtocolSpec::FastWakeUp | ProtocolSpec::Gossip => {
-                wakeup_sim::KnowledgeMode::Kt1
-            }
+            ProtocolSpec::DfsRank
+            | ProtocolSpec::FastWakeUp
+            | ProtocolSpec::Gossip
+            | ProtocolSpec::Leader => wakeup_sim::KnowledgeMode::Kt1,
             _ => wakeup_sim::KnowledgeMode::Kt0,
         }
     }
@@ -284,6 +288,7 @@ impl ProtocolSpec {
             ProtocolSpec::Thm5b => "thm5b",
             ProtocolSpec::Thm6 { .. } => "thm6",
             ProtocolSpec::Cor2 => "cor2",
+            ProtocolSpec::Leader => "leader",
         }
     }
 
@@ -301,7 +306,7 @@ impl ProtocolSpec {
             ProtocolSpec::Thm5a => n.powf(1.5),
             ProtocolSpec::Thm6 { k } => k as f64 * n.powf(1.0 + 1.0 / k as f64) * n.ln(),
             ProtocolSpec::Cor2 => n * n.log2() * n.log2(),
-            ProtocolSpec::Gossip | ProtocolSpec::Nih => return None,
+            ProtocolSpec::Gossip | ProtocolSpec::Nih | ProtocolSpec::Leader => return None,
         })
     }
 }
@@ -371,7 +376,9 @@ impl DelaySpec {
 pub struct EngineSpec {
     /// Engine seed (node randomness).
     pub seed: u64,
-    /// Intra-run shard count, `1..=16`.
+    /// Intra-run shard count. The parser rejects anything above
+    /// [`MAX_SHARDS`] (256, the engines' cap) as out of range;
+    /// [`ScenarioSpec::validate`] then narrows a spec to `1..=16`.
     pub shards: usize,
     /// Whether conformance runs may attach the audit recorder.
     pub audit: bool,
@@ -822,11 +829,13 @@ fn parse_protocol(at: &str, value: &Value) -> Result<ProtocolSpec, SpecError> {
                 k: as_uint(&f.path("k"), &f.require("k")?, 64)? as usize,
             },
             "cor2" => ProtocolSpec::Cor2,
+            "leader" => ProtocolSpec::Leader,
             other => return Err(SpecError::UnknownVariant {
                 at: f.path("kind"),
                 value: other.to_string(),
                 allowed:
-                    "flooding, dfs-rank, fast-wakeup, gossip, nih, cor1, thm5a, thm5b, thm6, cor2",
+                    "flooding, dfs-rank, fast-wakeup, gossip, nih, cor1, thm5a, thm5b, thm6, cor2, \
+                     leader",
             }),
         };
     f.finish()?;
@@ -1185,6 +1194,32 @@ mod tests {
         let reparsed = ScenarioSpec::parse(&canon).unwrap();
         assert_eq!(spec, reparsed);
         assert_eq!(reparsed.to_canonical_json(), canon);
+    }
+
+    /// Leader election parses from its kind tag, round-trips canonically,
+    /// takes no parameters, and is an async KT1 protocol with no Table 1
+    /// row.
+    #[test]
+    fn leader_protocol_round_trips() {
+        let doc = minimal().replace("\"kind\": \"flooding\"", "\"kind\": \"leader\"");
+        let spec = ScenarioSpec::parse(&doc).unwrap();
+        assert_eq!(spec.protocol, ProtocolSpec::Leader);
+        let canon = spec.to_canonical_json();
+        assert!(canon.contains("\"kind\": \"leader\""), "{canon}");
+        let reparsed = ScenarioSpec::parse(&canon).unwrap();
+        assert_eq!(spec, reparsed);
+        assert_eq!(reparsed.to_canonical_json(), canon);
+
+        let p = spec.protocol;
+        assert!(!p.is_sync() && !p.is_scheme());
+        assert_eq!(p.knowledge_mode(), wakeup_sim::KnowledgeMode::Kt1);
+        assert_eq!(p.table1_shape(64, 256), None);
+
+        let doc = minimal().replace("\"kind\": \"flooding\"", "\"kind\": \"leader\", \"k\": 2");
+        assert!(matches!(
+            ScenarioSpec::parse(&doc).unwrap_err(),
+            SpecError::UnknownField { field, .. } if field == "k"
+        ));
     }
 
     /// `at_size` resizes the single-count families and gives a typed error,

@@ -99,5 +99,4 @@ pub use obs::{
 pub use protocol::{
     AsyncProtocol, Context, Inbox, Incoming, NodeInit, ScopedBuf, SyncProtocol, WakeCause,
 };
-pub use shard::shards_from_env;
 pub use sync_engine::{SyncConfig, SyncEngine};

@@ -455,8 +455,8 @@ pub struct CriticalPath {
 ///
 /// These are *diagnostics*, deliberately excluded from the deterministic
 /// schema-4 [`ObsSnapshot::to_json`]/[`ObsSnapshot::to_prometheus`]
-/// renderings (which CI byte-diffs across `WAKEUP_THREADS` and
-/// `WAKEUP_SHARDS`): a 4-shard run legitimately has four arenas and four
+/// renderings (which CI byte-diffs across `WAKEUP_THREADS` and shard
+/// counts): a 4-shard run legitimately has four arenas and four
 /// wheels, so these values depend on the executor layout. They are exported
 /// only by [`ObsSnapshot::to_json_diag`], and `wakeup obs diff` treats them
 /// as tolerance-class fields.

@@ -43,45 +43,6 @@ use crate::metrics::{Metrics, RunReport};
 use crate::network::NodeTables;
 use crate::obs::{ObsLevel, ShardObs};
 
-/// The shard count requested through the `WAKEUP_SHARDS` environment
-/// variable, defaulting to 1 when unset or unparsable. The
-/// experiment harness and report binaries seed their engine configs from
-/// this, so a whole sweep can be flipped to sharded execution without
-/// touching any call site — output bytes are identical either way.
-///
-/// Oversubscription guard: when the request exceeds the machine's
-/// available parallelism, sharding only adds barrier overhead, so the
-/// request falls back to one shard with a one-line stderr warning. Set
-/// `WAKEUP_SHARDS_FORCE=1` to keep the requested count anyway (CI
-/// determinism checks deliberately run more shards than cores).
-pub fn shards_from_env() -> usize {
-    let requested = match std::env::var("WAKEUP_SHARDS") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(s) if s >= 1 => s,
-            _ => 1,
-        },
-        Err(_) => 1,
-    };
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let force = std::env::var("WAKEUP_SHARDS_FORCE").is_ok_and(|v| v.trim() == "1");
-    resolve_shards(requested, cores, force, true)
-}
-
-/// The decision core of [`shards_from_env`], split out so the fallback is
-/// testable without touching process-global env state.
-fn resolve_shards(requested: usize, cores: usize, force: bool, warn: bool) -> usize {
-    if requested > cores && !force {
-        if warn {
-            eprintln!(
-                "wakeup: WAKEUP_SHARDS={requested} exceeds available parallelism \
-                 ({cores}); falling back to one shard (set WAKEUP_SHARDS_FORCE=1 to override)"
-            );
-        }
-        return 1;
-    }
-    requested
-}
-
 /// Largest shard count a run uses. The exchange keeps `k × k × PHASES`
 /// mailboxes plus `k × PHASES` stage buffers per worker, so the request is
 /// clamped here ([`ShardPlan`]) and rejected beyond it by the scenario
@@ -677,18 +638,6 @@ mod tests {
                 assert_eq!(next, n, "n={n} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn shard_request_falls_back_to_serial_when_oversubscribed() {
-        // Within budget: honored.
-        assert_eq!(resolve_shards(4, 8, false, false), 4);
-        assert_eq!(resolve_shards(8, 8, false, false), 8);
-        // Oversubscribed: serial fallback…
-        assert_eq!(resolve_shards(9, 8, false, false), 1);
-        assert_eq!(resolve_shards(64, 1, false, false), 1);
-        // …unless forced.
-        assert_eq!(resolve_shards(64, 1, true, false), 64);
     }
 
     #[test]

@@ -19,15 +19,12 @@
 //! ```
 //! use wakeup::core::flooding::FloodAsync;
 //! use wakeup::graph::{generators, NodeId};
-//! use wakeup::sim::{adversary::WakeSchedule, Network};
+//! use wakeup::sim::{adversary::WakeSchedule, AsyncConfig, AsyncEngine, Network};
 //!
 //! let net = Network::kt0(generators::cycle(8)?, 1);
-//! let run = wakeup::core::harness::run_async::<FloodAsync>(
-//!     &net,
-//!     &WakeSchedule::single(NodeId::new(0)),
-//!     1,
-//! );
-//! assert!(run.report.all_awake);
+//! let config = AsyncConfig { seed: 1, ..AsyncConfig::default() };
+//! let report = AsyncEngine::<FloodAsync>::new(&net, config).run(&WakeSchedule::single(NodeId::new(0)));
+//! assert!(report.all_awake);
 //! # Ok::<(), wakeup::graph::GraphError>(())
 //! ```
 

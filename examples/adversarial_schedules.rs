@@ -11,16 +11,29 @@
 //! cargo run --example adversarial_schedules
 //! ```
 
-use wakeup::core::dfs_rank::DfsRank;
-use wakeup::core::harness;
-use wakeup::graph::{generators, NodeId};
-use wakeup::sim::adversary::{AdversarialDelay, WakeSchedule};
-use wakeup::sim::Network;
+use wakeup_scenario::{
+    run, DelaySpec, EngineSpec, GraphSpec, ProtocolSpec, ScenarioSpec, WakeSpec,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 150usize;
-    let g = generators::erdos_renyi_connected(n, 0.04, 9)?;
-    let net = Network::kt1(g, 9);
+    let spec = |wake, delays| ScenarioSpec {
+        name: "adversarial-schedules".into(),
+        graph: GraphSpec::Gnp {
+            n,
+            p: 0.04,
+            seed: 9,
+        },
+        protocol: ProtocolSpec::DfsRank,
+        wake,
+        delays,
+        engine: EngineSpec {
+            seed: 21,
+            shards: 1,
+            audit: false,
+        },
+        report: None,
+    };
     let envelope = |c: f64| c * n as f64 * (n as f64).ln();
 
     println!(
@@ -29,22 +42,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{:<28} {:>9} {:>12}", "schedule", "messages", "time units");
 
-    let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let schedules: Vec<(&str, WakeSchedule)> = vec![
-        ("single node", WakeSchedule::single(NodeId::new(0))),
-        ("all at time 0", WakeSchedule::all_at_zero(&all)),
+    let schedules: Vec<(&str, WakeSpec)> = vec![
+        ("single node", WakeSpec::Single { node: 0 }),
+        ("all at time 0", WakeSpec::All),
         (
             "staggered, gap 2n",
-            WakeSchedule::staggered(&all, 2.0 * n as f64),
+            WakeSpec::Staggered {
+                gap: 2.0 * n as f64,
+            },
         ),
         (
             "staggered, gap n/4 (bursty)",
-            WakeSchedule::staggered(&all, n as f64 / 4.0),
+            WakeSpec::Staggered {
+                gap: n as f64 / 4.0,
+            },
         ),
     ];
 
-    for (name, schedule) in &schedules {
-        let run = harness::run_async::<DfsRank>(&net, schedule, 21);
+    for (name, wake) in &schedules {
+        let run = run::run_spec(&spec(wake.clone(), DelaySpec::Unit));
         assert!(run.report.all_awake, "{name}: not everyone woke");
         println!(
             "{:<28} {:>9} {:>12.1}",
@@ -59,8 +75,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Same adversary, now also controlling per-channel delays.
-    let mut delays = AdversarialDelay::new(1234);
-    let run = harness::run_async_with_delays::<DfsRank>(&net, &schedules[2].1, 22, &mut delays);
+    let skewed = spec(
+        schedules[2].1.clone(),
+        DelaySpec::Adversarial { salt: 1234 },
+    );
+    let run = run::run_spec(&skewed);
     assert!(run.report.all_awake);
     println!(
         "{:<28} {:>9} {:>12.1}",

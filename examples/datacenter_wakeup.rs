@@ -13,9 +13,8 @@
 use wakeup::core::advice::{run_scheme, SpannerScheme};
 use wakeup::core::fast_wakeup::FastWakeUp;
 use wakeup::core::flooding::FloodSync;
-use wakeup::core::harness;
 use wakeup::graph::{algo, Graph, GraphBuilder, NodeId};
-use wakeup::sim::{adversary::WakeSchedule, Network, TICKS_PER_UNIT};
+use wakeup::sim::{adversary::WakeSchedule, Network, SyncConfig, SyncEngine, TICKS_PER_UNIT};
 
 /// Builds a two-level "data center": `spines` core switches (a clique),
 /// each connected to every aggregation switch; `racks` aggregation switches
@@ -59,21 +58,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ingress.len()
     );
 
+    // The fabric is a custom topology, so the engines run it directly.
+    let seeded = |seed| SyncConfig {
+        seed,
+        ..SyncConfig::default()
+    };
+
     // Naive broadcast flooding.
     let net = Network::kt1(g.clone(), 7);
-    let flood = harness::run_sync::<FloodSync>(&net, &schedule, 1);
+    let flood = SyncEngine::<FloodSync>::new(&net, seeded(1)).run(&schedule);
     println!(
         "flooding         : {:>7} magic packets, {:>3} rounds",
-        flood.report.messages(),
-        flood.report.metrics.all_awake_tick.unwrap() / TICKS_PER_UNIT
+        flood.messages(),
+        flood.metrics.all_awake_tick.unwrap() / TICKS_PER_UNIT
     );
 
     // FastWakeUp (Theorem 4): ρ_awk-proportional time, subquadratic packets.
-    let fast = harness::run_sync::<FastWakeUp>(&net, &schedule, 2);
+    let fast = SyncEngine::<FastWakeUp>::new(&net, seeded(2)).run(&schedule);
     println!(
         "FastWakeUp (Thm4): {:>7} magic packets, {:>3} rounds (bound: {} = 10·ρ_awk)",
-        fast.report.messages(),
-        fast.report.metrics.all_awake_tick.unwrap() / TICKS_PER_UNIT,
+        fast.messages(),
+        fast.metrics.all_awake_tick.unwrap() / TICKS_PER_UNIT,
         10 * rho
     );
 
@@ -88,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spanner.advice.max_bits
     );
 
-    assert!(flood.report.all_awake && fast.report.all_awake && spanner.report.all_awake);
+    assert!(flood.all_awake && fast.all_awake && spanner.report.all_awake);
     println!("\nfleet fully awake under all three strategies ✓");
 
     // Telemetry view: when did the racks actually come up, and what was the
@@ -97,8 +102,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the longest chain of wake-triggering packets — the floor on wall-clock
     // wake-up no matter how wide the fabric is.
     for (name, report) in [
-        ("flooding", &flood.report),
-        ("FastWakeUp", &fast.report),
+        ("flooding", &flood),
+        ("FastWakeUp", &fast),
         ("spanner advice", &spanner.report),
     ] {
         println!(

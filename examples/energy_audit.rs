@@ -9,61 +9,60 @@
 //! cargo run --example energy_audit
 //! ```
 
-use wakeup::core::advice::{run_scheme, CenScheme};
-use wakeup::core::dfs_rank::DfsRank;
 use wakeup::core::energy::EnergyReport;
-use wakeup::core::flooding::FloodAsync;
-use wakeup::core::harness;
-use wakeup::graph::{generators, NodeId};
-use wakeup::sim::adversary::WakeSchedule;
-use wakeup::sim::Network;
+use wakeup::sim::RunReport;
+use wakeup_scenario::{
+    run, DelaySpec, EngineSpec, GraphSpec, ProtocolSpec, ScenarioSpec, WakeSpec,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 200usize;
-    let g = generators::preferential_attachment(n, 3, 13)?;
+    // The power-law family is the Barabási–Albert preferential-attachment
+    // graph; one spec per strategy, differing only in the protocol.
+    let spec = |protocol| ScenarioSpec {
+        name: "energy-audit".into(),
+        graph: GraphSpec::PowerLaw {
+            n,
+            attach: 3,
+            seed: 13,
+        },
+        protocol,
+        wake: WakeSpec::Single { node: 0 },
+        delays: DelaySpec::Unit,
+        engine: EngineSpec {
+            seed: 13,
+            shards: 1,
+            audit: false,
+        },
+        report: None,
+    };
+    let g = run::build_graph(&spec(ProtocolSpec::Flooding).graph);
     println!(
         "scale-free network (Barabási–Albert): n = {n}, m = {}, max degree {}\n",
         g.m(),
         g.max_degree()
     );
-    let schedule = WakeSchedule::single(NodeId::new(0));
 
     println!(
         "{:<16} {:>12} {:>10} {:>10} {:>8}",
         "strategy", "total energy", "max load", "imbalance", "gini"
     );
-    let rows: Vec<(&str, EnergyReport, bool, wakeup::sim::RunReport)> = vec![
-        {
-            let net = Network::kt0(g.clone(), 13);
-            let run = harness::run_async::<FloodAsync>(&net, &schedule, 1);
-            (
-                "flooding",
-                EnergyReport::from_metrics(&run.report.metrics),
-                run.report.all_awake,
-                run.report,
-            )
-        },
-        {
-            let net = Network::kt1(g.clone(), 13);
-            let run = harness::run_async::<DfsRank>(&net, &schedule, 2);
-            (
-                "dfs-rank",
-                EnergyReport::from_metrics(&run.report.metrics),
-                run.report.all_awake,
-                run.report,
-            )
-        },
-        {
-            let net = Network::kt0(g.clone(), 13);
-            let run = run_scheme(&CenScheme::new(), &net, &schedule, 3);
-            (
-                "cen advice",
-                EnergyReport::from_metrics(&run.report.metrics),
-                run.report.all_awake,
-                run.report,
-            )
-        },
-    ];
+    let rows: Vec<(&str, EnergyReport, bool, RunReport)> = [
+        ("flooding", ProtocolSpec::Flooding),
+        ("dfs-rank", ProtocolSpec::DfsRank),
+        ("cen advice", ProtocolSpec::Thm5b),
+    ]
+    .into_iter()
+    .map(|(name, protocol)| {
+        let report = run::run_spec(&spec(protocol)).report;
+        (
+            name,
+            EnergyReport::from_metrics(&report.metrics),
+            report.all_awake,
+            report,
+        )
+    })
+    .collect();
     for (name, e, ok, _) in &rows {
         assert!(ok, "{name} failed to wake everyone");
         println!(

@@ -5,35 +5,48 @@
 //! cargo run --example quickstart
 //! ```
 
-use wakeup::core::advice::{run_scheme, CenScheme};
-use wakeup::core::dfs_rank::DfsRank;
-use wakeup::core::flooding::FloodAsync;
-use wakeup::core::harness;
-use wakeup::graph::{algo, generators, NodeId};
-use wakeup::sim::{adversary::WakeSchedule, Network};
+use wakeup::graph::{algo, NodeId};
+use wakeup_scenario::{
+    run, DelaySpec, EngineSpec, GraphSpec, ProtocolSpec, ScenarioSpec, WakeSpec,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A 200-node sparse random network; the adversary wakes one node.
+    // A 200-node sparse random network; the adversary wakes one node. A
+    // scenario spec pins the whole workload; only the protocol varies.
     let n = 200;
-    let g = generators::erdos_renyi_connected(n, 0.03, 42)?;
+    let spec = |protocol| ScenarioSpec {
+        name: "quickstart".into(),
+        graph: GraphSpec::Gnp {
+            n,
+            p: 0.03,
+            seed: 42,
+        },
+        protocol,
+        wake: WakeSpec::Single { node: 0 },
+        delays: DelaySpec::Unit,
+        engine: EngineSpec {
+            seed: 42,
+            shards: 1,
+            audit: false,
+        },
+        report: None,
+    };
+    let g = run::build_graph(&spec(ProtocolSpec::Flooding).graph);
     let diameter = algo::diameter(&g).expect("connected");
-    let schedule = WakeSchedule::single(NodeId::new(0));
+    let rho_awk = algo::awake_distance(&g, &[NodeId::new(0)]).expect("connected");
     println!("network: n = {n}, m = {}, diameter = {diameter}", g.m());
     println!("adversary wakes node 0; everyone else sleeps\n");
 
     // 1. Flooding: optimal time, Θ(m) messages.
-    let net = Network::kt0(g.clone(), 42);
-    let flood = harness::run_async::<FloodAsync>(&net, &schedule, 1);
+    let flood = run::run_spec(&spec(ProtocolSpec::Flooding));
     println!(
-        "flooding        : {:>6} messages, {:>6.1} time units (ρ_awk = {})",
+        "flooding        : {:>6} messages, {:>6.1} time units (ρ_awk = {rho_awk})",
         flood.report.messages(),
         flood.report.time_units(),
-        flood.rho_awk.unwrap()
     );
 
     // 2. DFS-rank (Theorem 3): O(n log n) messages under KT1.
-    let net = Network::kt1(g.clone(), 42);
-    let dfs = harness::run_async::<DfsRank>(&net, &schedule, 2);
+    let dfs = run::run_spec(&spec(ProtocolSpec::DfsRank));
     println!(
         "DFS-rank (Thm 3): {:>6} messages, {:>6.1} time units",
         dfs.report.messages(),
@@ -42,14 +55,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Child-encoding advice (Theorem 5B): O(n) messages with O(log n)-bit
     //    advice per node, back in KT0 CONGEST.
-    let net = Network::kt0(g, 42);
-    let cen = run_scheme(&CenScheme::new(), &net, &schedule, 3);
+    let cen = run::run_spec(&spec(ProtocolSpec::Thm5b));
+    let advice = cen.advice.expect("advising scheme");
     println!(
         "CEN advice (5B) : {:>6} messages, {:>6.1} time units, advice max {} bits / avg {:.1} bits",
         cen.report.messages(),
         cen.report.time_units(),
-        cen.advice.max_bits,
-        cen.advice.avg_bits
+        advice.max_bits,
+        advice.avg_bits
     );
 
     for (name, ok) in [

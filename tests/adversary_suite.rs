@@ -9,7 +9,6 @@ use wakeup::core::dfs_rank::DfsRank;
 use wakeup::core::fast_wakeup::FastWakeUp;
 use wakeup::core::flooding::FloodAsync;
 use wakeup::core::gossip::SetGossip;
-use wakeup::core::harness;
 use wakeup::core::leader::LeaderElect;
 use wakeup::graph::{generators, Graph, NodeId};
 use wakeup::sim::adversary::{
@@ -17,7 +16,23 @@ use wakeup::sim::adversary::{
     TargetedDelay, UnitDelay, WakeSchedule,
 };
 use wakeup::sim::audit::{AuditScope, Auditor};
-use wakeup::sim::{AsyncConfig, AsyncEngine, AsyncProtocol, Network, TICKS_PER_UNIT};
+use wakeup::sim::{
+    AsyncConfig, AsyncEngine, AsyncProtocol, Network, SyncConfig, SyncEngine, TICKS_PER_UNIT,
+};
+
+fn async_seed(seed: u64) -> AsyncConfig {
+    AsyncConfig {
+        seed,
+        ..AsyncConfig::default()
+    }
+}
+
+fn sync_seed(seed: u64) -> SyncConfig {
+    SyncConfig {
+        seed,
+        ..SyncConfig::default()
+    }
+}
 
 fn battleground() -> Graph {
     generators::watts_strogatz(60, 2, 0.15, 77).unwrap()
@@ -62,12 +77,13 @@ fn run_async_battery<P: AsyncProtocol>(name: &str, net: &Network) {
     let victims: Vec<NodeId> = (0..g.n()).step_by(9).map(NodeId::new).collect();
     for (sname, schedule) in schedules(g) {
         for (dname, mut delays) in delay_strategies(&victims) {
-            let run = harness::run_async_with_delays::<P>(net, &schedule, 11, delays.as_mut());
+            let report =
+                AsyncEngine::<P>::new(net, async_seed(11)).run_with(&schedule, delays.as_mut());
             assert!(
-                run.report.all_awake,
+                report.all_awake,
                 "{name} failed under schedule {sname} + delays {dname}"
             );
-            assert!(!run.report.truncated, "{name}/{sname}/{dname} truncated");
+            assert!(!report.truncated, "{name}/{sname}/{dname} truncated");
         }
     }
 }
@@ -97,12 +113,12 @@ fn leader_elect_survives_the_battery_with_agreement() {
     let victims: Vec<NodeId> = (0..g.n()).step_by(9).map(NodeId::new).collect();
     for (sname, schedule) in schedules(&g) {
         for (dname, mut delays) in delay_strategies(&victims) {
-            let run =
-                harness::run_async_with_delays::<LeaderElect>(&net, &schedule, 11, delays.as_mut());
-            assert!(run.report.all_awake, "{sname}/{dname}");
-            let first = run.report.outputs[0].expect("everyone elects");
+            let report = AsyncEngine::<LeaderElect>::new(&net, async_seed(11))
+                .run_with(&schedule, delays.as_mut());
+            assert!(report.all_awake, "{sname}/{dname}");
+            let first = report.outputs[0].expect("everyone elects");
             assert!(
-                run.report.outputs.iter().all(|&o| o == Some(first)),
+                report.outputs.iter().all(|&o| o == Some(first)),
                 "disagreement under {sname}/{dname}"
             );
         }
@@ -130,13 +146,13 @@ fn sync_algorithms_survive_the_schedules() {
     let g = battleground();
     let net = Network::kt1(g.clone(), 7);
     for (sname, schedule) in schedules(&g) {
-        let fast = harness::run_sync::<FastWakeUp>(&net, &schedule, 8);
-        assert!(fast.report.all_awake, "fast-wakeup/{sname}");
-        assert!(!fast.report.truncated);
-        let gossip = harness::run_sync::<SetGossip>(&net, &schedule, 8);
-        assert!(gossip.report.all_awake, "gossip/{sname}");
+        let fast = SyncEngine::<FastWakeUp>::new(&net, sync_seed(8)).run(&schedule);
+        assert!(fast.all_awake, "fast-wakeup/{sname}");
+        assert!(!fast.truncated);
+        let gossip = SyncEngine::<SetGossip>::new(&net, sync_seed(8)).run(&schedule);
+        assert!(gossip.all_awake, "gossip/{sname}");
         // Gossip invariant: one message per node per round.
-        assert!(gossip.report.messages() <= g.n() as u64 * gossip.report.rounds);
+        assert!(gossip.messages() <= g.n() as u64 * gossip.rounds);
     }
 }
 
@@ -215,10 +231,10 @@ fn farthest_first_is_the_worst_schedule_for_fast_wakeup_time() {
     let net = Network::kt1(g.clone(), 9);
     let clustered: Vec<NodeId> = (0..4).map(NodeId::new).collect();
     let far = WakeSchedule::farthest_first(&g, NodeId::new(0), 4, 0.0);
-    let t_clustered =
-        harness::run_sync::<FastWakeUp>(&net, &WakeSchedule::all_at_zero(&clustered), 3);
-    let t_far = harness::run_sync::<FastWakeUp>(&net, &far, 3);
-    assert!(t_clustered.report.all_awake && t_far.report.all_awake);
+    let t_clustered = SyncEngine::<FastWakeUp>::new(&net, sync_seed(3))
+        .run(&WakeSchedule::all_at_zero(&clustered));
+    let t_far = SyncEngine::<FastWakeUp>::new(&net, sync_seed(3)).run(&far);
+    assert!(t_clustered.all_awake && t_far.all_awake);
     let rho_clustered = wakeup::graph::algo::awake_distance(&g, &clustered).unwrap();
     let rho_far = wakeup::graph::algo::awake_distance(&g, &far.initially_awake()).unwrap();
     assert!(rho_far <= rho_clustered, "spreading wakes reduces ρ_awk");

@@ -10,40 +10,56 @@ use wakeup::core::advice::{run_scheme, BfsTreeScheme, CenScheme, SpannerScheme};
 use wakeup::core::dfs_rank::DfsRank;
 use wakeup::core::fast_wakeup::FastWakeUp;
 use wakeup::core::flooding::{FloodAsync, FloodSync};
-use wakeup::core::harness;
 use wakeup::graph::{generators, NodeId};
 use wakeup::lb::{thm1, thm2};
 use wakeup::sim::adversary::{RandomDelay, WakeSchedule};
-use wakeup::sim::Network;
+use wakeup::sim::{AsyncConfig, AsyncEngine, Network, SyncConfig, SyncEngine};
+
+fn async_seed(seed: u64) -> AsyncConfig {
+    AsyncConfig {
+        seed,
+        ..AsyncConfig::default()
+    }
+}
+
+fn sync_seed(seed: u64) -> SyncConfig {
+    SyncConfig {
+        seed,
+        ..SyncConfig::default()
+    }
+}
 
 #[test]
 fn golden_flooding() {
     let net = Network::kt0(generators::erdos_renyi_connected(60, 0.1, 42).unwrap(), 42);
-    let run = harness::run_async::<FloodAsync>(&net, &WakeSchedule::single(NodeId::new(0)), 42);
-    assert!(run.report.all_awake);
-    assert_eq!(run.report.messages(), 342);
-    assert_eq!(run.report.time_units(), 5.0);
+    let report = AsyncEngine::<FloodAsync>::new(&net, async_seed(42))
+        .run(&WakeSchedule::single(NodeId::new(0)));
+    assert!(report.all_awake);
+    assert_eq!(report.messages(), 342);
+    assert_eq!(report.time_units(), 5.0);
 }
 
 #[test]
 fn golden_dfs_rank() {
     let net = Network::kt1(generators::erdos_renyi_connected(60, 0.1, 42).unwrap(), 42);
     let all: Vec<NodeId> = (0..60).map(NodeId::new).collect();
-    let run = harness::run_async::<DfsRank>(&net, &WakeSchedule::staggered(&all, 2.0), 42);
-    assert!(run.report.all_awake);
+    let report =
+        AsyncEngine::<DfsRank>::new(&net, async_seed(42)).run(&WakeSchedule::staggered(&all, 2.0));
+    assert!(report.all_awake);
     // Re-pinned (142 → 143) when tick delivery moved to canonical
     // receiver-ascending batches: RandomDelay is history-dependent, so the
     // new draw order shifts this seed's message count by one.
-    assert_eq!(run.report.messages(), 143);
+    assert_eq!(report.messages(), 143);
 }
 
 #[test]
 fn golden_fast_wakeup() {
     let net = Network::kt1(generators::complete(48).unwrap(), 42);
     let all: Vec<NodeId> = (0..48).map(NodeId::new).collect();
-    let run = harness::run_sync::<FastWakeUp>(&net, &WakeSchedule::all_at_zero(&all), 42);
-    assert!(run.report.all_awake);
-    assert_eq!(run.report.messages(), 1316);
+    let report =
+        SyncEngine::<FastWakeUp>::new(&net, sync_seed(42)).run(&WakeSchedule::all_at_zero(&all));
+    assert!(report.all_awake);
+    assert_eq!(report.messages(), 1316);
 }
 
 #[test]
@@ -72,24 +88,25 @@ fn golden_engine_regression_async() {
     let all: Vec<NodeId> = (0..70).map(NodeId::new).collect();
     let schedule = WakeSchedule::staggered(&all, 1.5);
     let mut delays = RandomDelay::new(1234);
-    let run = harness::run_async_with_delays::<FloodAsync>(&net, &schedule, 9, &mut delays);
-    assert!(run.report.all_awake);
-    assert_eq!(run.report.messages(), 398);
-    assert_eq!(run.report.metrics.first_wake_tick, Some(0));
-    assert_eq!(run.report.metrics.last_receipt_tick, Some(2262));
-    assert_eq!(run.report.metrics.all_awake_tick, Some(1477));
+    let report =
+        AsyncEngine::<FloodAsync>::new(&net, async_seed(9)).run_with(&schedule, &mut delays);
+    assert!(report.all_awake);
+    assert_eq!(report.messages(), 398);
+    assert_eq!(report.metrics.first_wake_tick, Some(0));
+    assert_eq!(report.metrics.last_receipt_tick, Some(2262));
+    assert_eq!(report.metrics.all_awake_tick, Some(1477));
 }
 
 #[test]
 fn golden_engine_regression_sync() {
     let net = Network::kt1(generators::erdos_renyi_connected(70, 0.08, 9).unwrap(), 9);
     let schedule = WakeSchedule::single(NodeId::new(5));
-    let run = harness::run_sync::<FloodSync>(&net, &schedule, 9);
-    assert!(run.report.all_awake);
-    assert_eq!(run.report.messages(), 398);
-    assert_eq!(run.report.rounds, 5);
-    assert_eq!(run.report.metrics.last_receipt_tick, Some(4096));
-    assert_eq!(run.report.metrics.all_awake_tick, Some(3072));
+    let report = SyncEngine::<FloodSync>::new(&net, sync_seed(9)).run(&schedule);
+    assert!(report.all_awake);
+    assert_eq!(report.messages(), 398);
+    assert_eq!(report.rounds, 5);
+    assert_eq!(report.metrics.last_receipt_tick, Some(4096));
+    assert_eq!(report.metrics.all_awake_tick, Some(3072));
 }
 
 #[test]

@@ -41,9 +41,9 @@ fn facade_bake_reload_round_trip() {
 #[test]
 fn mmap_and_eager_views_agree() {
     use wakeup::core::flooding::FloodAsync;
-    use wakeup::core::harness::run_async;
     use wakeup::graph::NodeId;
     use wakeup::sim::adversary::WakeSchedule;
+    use wakeup::sim::{AsyncConfig, AsyncEngine};
 
     let net = sample_network(KnowledgeMode::Kt1);
     let path = tmp("mmap-vs-eager.wkb");
@@ -58,13 +58,14 @@ fn mmap_and_eager_views_agree() {
     assert_eq!(from_mapped, from_eager);
 
     let schedule = WakeSchedule::single(NodeId::new(0));
-    let a = run_async::<FloodAsync>(&from_mapped, &schedule, 3);
-    let b = run_async::<FloodAsync>(&from_eager, &schedule, 3);
-    assert_eq!(
-        a.report.metrics.messages_sent,
-        b.report.metrics.messages_sent
-    );
-    assert_eq!(a.report.all_awake, b.report.all_awake);
+    let config = AsyncConfig {
+        seed: 3,
+        ..AsyncConfig::default()
+    };
+    let a = AsyncEngine::<FloodAsync>::new(&from_mapped, config.clone()).run(&schedule);
+    let b = AsyncEngine::<FloodAsync>::new(&from_eager, config).run(&schedule);
+    assert_eq!(a.metrics.messages_sent, b.metrics.messages_sent);
+    assert_eq!(a.all_awake, b.all_awake);
     std::fs::remove_file(&path).ok();
 }
 

@@ -7,10 +7,16 @@ use proptest::prelude::*;
 use wakeup::core::advice::{run_scheme, BfsTreeScheme, CenScheme};
 use wakeup::core::dfs_rank::DfsRank;
 use wakeup::core::flooding::FloodAsync;
-use wakeup::core::harness;
 use wakeup::graph::{algo, generators, Graph, NodeId};
 use wakeup::sim::adversary::{RandomDelay, WakeSchedule};
-use wakeup::sim::Network;
+use wakeup::sim::{AsyncConfig, AsyncEngine, Network, SyncConfig, SyncEngine};
+
+fn async_seed(seed: u64) -> AsyncConfig {
+    AsyncConfig {
+        seed,
+        ..AsyncConfig::default()
+    }
+}
 
 /// Audits one single-wake run of each engine on `g` with the standard
 /// invariant set: `DfsRank` and `FloodAsync` under random delays seeded
@@ -104,18 +110,14 @@ proptest! {
     ) {
         let m = g.m() as u64;
         let net = Network::kt0(g, seed);
-        let run = harness::run_async::<FloodAsync>(
-            &net,
-            &WakeSchedule::single(NodeId::new(0)),
-            seed,
-        );
-        prop_assert!(run.report.all_awake);
-        prop_assert_eq!(run.report.messages(), 2 * m);
+        let report = AsyncEngine::<FloodAsync>::new(&net, async_seed(seed)).run(&WakeSchedule::single(NodeId::new(0)));
+        prop_assert!(report.all_awake);
+        prop_assert_eq!(report.messages(), 2 * m);
         // Conservation: every sent message is received.
-        let sent: u64 = run.report.metrics.sent_by.iter().sum();
-        let received: u64 = run.report.metrics.received_by.iter().sum();
+        let sent: u64 = report.metrics.sent_by.iter().sum();
+        let received: u64 = report.metrics.received_by.iter().sum();
         prop_assert_eq!(sent, received);
-        prop_assert_eq!(sent, run.report.messages());
+        prop_assert_eq!(sent, report.messages());
     }
 
     #[test]
@@ -128,13 +130,9 @@ proptest! {
         let awake: Vec<NodeId> = vec![NodeId::new(seed as usize % n)];
         let rho = algo::awake_distance(net.graph(), &awake).unwrap() as f64;
         let mut delays = RandomDelay::new(seed);
-        let run = harness::run_async_with_delays::<FloodAsync>(
-            &net,
-            &WakeSchedule::all_at_zero(&awake),
-            seed,
-            &mut delays,
-        );
-        prop_assert!(run.report.metrics.wakeup_time_units().unwrap() <= rho + 1e-9);
+        let report = AsyncEngine::<FloodAsync>::new(&net, async_seed(seed))
+            .run_with(&WakeSchedule::all_at_zero(&awake), &mut delays);
+        prop_assert!(report.metrics.wakeup_time_units().unwrap() <= rho + 1e-9);
     }
 
     #[test]
@@ -144,13 +142,9 @@ proptest! {
     ) {
         let n = g.n();
         let net = Network::kt1(g, seed);
-        let run = harness::run_async::<DfsRank>(
-            &net,
-            &WakeSchedule::single(NodeId::new((seed as usize) % n)),
-            seed,
-        );
-        prop_assert!(run.report.all_awake);
-        prop_assert!(!run.report.truncated);
+        let report = AsyncEngine::<DfsRank>::new(&net, async_seed(seed)).run(&WakeSchedule::single(NodeId::new((seed as usize) % n)));
+        prop_assert!(report.all_awake);
+        prop_assert!(!report.truncated);
     }
 
     #[test]
@@ -161,12 +155,8 @@ proptest! {
         let n = g.n();
         let net = Network::kt1(g, seed);
         let awake: Vec<NodeId> = (0..n).step_by(3).map(NodeId::new).collect();
-        let run = harness::run_async::<DfsRank>(
-            &net,
-            &WakeSchedule::staggered(&awake, (seed % 10) as f64),
-            seed,
-        );
-        prop_assert!(run.report.all_awake);
+        let report = AsyncEngine::<DfsRank>::new(&net, async_seed(seed)).run(&WakeSchedule::staggered(&awake, (seed % 10) as f64));
+        prop_assert!(report.all_awake);
     }
 
     #[test]
@@ -213,13 +203,10 @@ proptest! {
     ) {
         let net = Network::kt1(g, seed);
         let schedule = WakeSchedule::single(NodeId::new(0));
-        let a = harness::run_async::<DfsRank>(&net, &schedule, seed);
-        let b = harness::run_async::<DfsRank>(&net, &schedule, seed);
-        prop_assert_eq!(a.report.messages(), b.report.messages());
-        prop_assert_eq!(
-            a.report.metrics.last_receipt_tick,
-            b.report.metrics.last_receipt_tick
-        );
+        let a = AsyncEngine::<DfsRank>::new(&net, async_seed(seed)).run(&schedule);
+        let b = AsyncEngine::<DfsRank>::new(&net, async_seed(seed)).run(&schedule);
+        prop_assert_eq!(a.messages(), b.messages());
+        prop_assert_eq!(a.metrics.last_receipt_tick, b.metrics.last_receipt_tick);
     }
 
     #[test]
@@ -235,20 +222,16 @@ proptest! {
         let n = g.n();
         let source = NodeId::new(seed as usize % n);
         let net0 = Network::kt0(g.clone(), seed);
-        let async_run = harness::run_async::<FloodAsync>(
-            &net0,
-            &WakeSchedule::single(source),
-            seed,
-        );
+        let async_run = AsyncEngine::<FloodAsync>::new(&net0, async_seed(seed)).run(&WakeSchedule::single(source));
         let net1 = Network::kt1(g, seed);
-        let sync_run = harness::run_sync::<FloodSync>(
-            &net1,
-            &WakeSchedule::single(source),
+        let sync_config = SyncConfig {
             seed,
-        );
+            ..SyncConfig::default()
+        };
+        let sync_run = SyncEngine::<FloodSync>::new(&net1, sync_config).run(&WakeSchedule::single(source));
         for v in 0..n {
-            let a = async_run.report.metrics.wake_tick[v].unwrap();
-            let s = sync_run.report.metrics.wake_tick[v].unwrap() / TICKS_PER_UNIT;
+            let a = async_run.metrics.wake_tick[v].unwrap();
+            let s = sync_run.metrics.wake_tick[v].unwrap() / TICKS_PER_UNIT;
             prop_assert_eq!(a / TICKS_PER_UNIT, s, "node {} wake mismatch", v);
         }
     }
@@ -415,13 +398,9 @@ proptest! {
         let source = NodeId::new(seed as usize % n);
         let dist = algo::bfs_distances(&g, source);
         let net = Network::kt0(g, seed);
-        let run = harness::run_async::<FloodAsync>(
-            &net,
-            &WakeSchedule::single(source),
-            seed,
-        );
+        let report = AsyncEngine::<FloodAsync>::new(&net, async_seed(seed)).run(&WakeSchedule::single(source));
         for (v, &d) in dist.iter().enumerate().take(n) {
-            let woke = run.report.metrics.wake_tick[v].unwrap();
+            let woke = report.metrics.wake_tick[v].unwrap();
             // At least one tick per hop (TICKS_PER_UNIT under unit delays).
             prop_assert!(woke >= d as u64, "node {v} woke impossibly early");
         }

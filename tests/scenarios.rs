@@ -1,8 +1,8 @@
 //! Integration suite for the scenario spec subsystem: corpus hygiene
 //! (every checked-in file validates and re-serializes byte-stably),
 //! parse/serialize round-trip identity over generated specs, digest
-//! equivalence between the generic spec runner and the hand-written
-//! harness entry points it replaced, that every field of a Table 1 spec
+//! equivalence between the generic spec runner and direct engine and
+//! `run_scheme` calls, that every field of a Table 1 spec
 //! reaches the measured cell, and seed-determinism of the fuzz generator's
 //! spec stream.
 
@@ -14,18 +14,19 @@ use wakeup_core::advice::{run_scheme, BfsTreeScheme, CenScheme, SpannerScheme, T
 use wakeup_core::dfs_rank::DfsRank;
 use wakeup_core::fast_wakeup::FastWakeUp;
 use wakeup_core::flooding::FloodAsync;
-use wakeup_core::harness;
 use wakeup_graph::{generators, NodeId};
 use wakeup_scenario::gen::SpecGen;
-use wakeup_scenario::{corpus, run, DelaySpec, GraphSpec, ProtocolSpec, ScenarioSpec, WakeSpec};
+use wakeup_scenario::{
+    conformance, corpus, run, DelaySpec, GraphSpec, ProtocolSpec, ScenarioSpec, WakeSpec,
+};
 use wakeup_sim::adversary::WakeSchedule;
-use wakeup_sim::{Network, RunDigest};
+use wakeup_sim::{AsyncConfig, AsyncEngine, Network, RunDigest, SyncConfig, SyncEngine};
 
 #[test]
 fn corpus_files_validate_and_reserialize_byte_stably() {
     let all = corpus::all().expect("every corpus file parses and validates");
     assert!(
-        all.len() >= 19,
+        all.len() >= 21,
         "expected the full checked-in corpus, got {} files",
         all.len()
     );
@@ -64,11 +65,10 @@ fn table1_corpus_covers_every_row_in_order() {
     );
 }
 
-/// Re-runs a Table 1 spec through the hand-written harness entry points
-/// (`harness::run_*`, `run_scheme`) the report binaries formerly called
-/// directly, and returns the digest. Deliberately does not share code with
-/// `wakeup_scenario::run` — the point is a differential check of the
-/// generic runner.
+/// Re-runs a Table 1 spec through direct engine calls (and `run_scheme`
+/// for the advising schemes), and returns the digest. Deliberately does
+/// not share code with `wakeup_scenario::run` — the point is a
+/// differential check of the generic runner.
 fn reference_digest(spec: &ScenarioSpec) -> RunDigest {
     let seed = spec.engine.seed;
     let graph = match spec.graph {
@@ -91,15 +91,23 @@ fn reference_digest(spec: &ScenarioSpec) -> RunDigest {
         }
         ref other => panic!("unexpected table1 wake {other:?}"),
     };
+    let async_config = AsyncConfig {
+        seed,
+        ..AsyncConfig::default()
+    };
+    let sync_config = SyncConfig {
+        seed,
+        ..SyncConfig::default()
+    };
     let report = match spec.protocol {
         ProtocolSpec::Flooding => {
-            harness::run_async::<FloodAsync>(&Network::kt0(graph, seed), &schedule, seed).report
+            AsyncEngine::<FloodAsync>::new(&Network::kt0(graph, seed), async_config).run(&schedule)
         }
         ProtocolSpec::DfsRank => {
-            harness::run_async::<DfsRank>(&Network::kt1(graph, seed), &schedule, seed).report
+            AsyncEngine::<DfsRank>::new(&Network::kt1(graph, seed), async_config).run(&schedule)
         }
         ProtocolSpec::FastWakeUp => {
-            harness::run_sync::<FastWakeUp>(&Network::kt1(graph, seed), &schedule, seed).report
+            SyncEngine::<FastWakeUp>::new(&Network::kt1(graph, seed), sync_config).run(&schedule)
         }
         ProtocolSpec::Cor1 => {
             run_scheme(
@@ -159,7 +167,7 @@ fn table1_rows_run_to_the_reference_digests() {
         let diffs = generic.diff(&reference);
         assert!(
             diffs.is_empty(),
-            "{}: spec runner diverges from the direct harness: {diffs:?}",
+            "{}: spec runner diverges from the direct engine run: {diffs:?}",
             path.display()
         );
     }
@@ -261,6 +269,72 @@ fn every_table1_spec_field_reaches_the_measurement() {
             "{}: 4 shards changed the measured cell",
             row.name
         );
+    }
+}
+
+/// The leader-election corpus spec, and variants of it under every delay
+/// strategy and wake kind, pass the whole conformance battery: invariant
+/// audit, batched vs per-message, reset vs fresh, and two shards vs one
+/// where the delays fork.
+#[test]
+fn leader_specs_pass_the_battery() {
+    let path = corpus::dir().join("audit/08-leader.json");
+    let base = corpus::load_file(&path).unwrap();
+    assert_eq!(base.protocol, ProtocolSpec::Leader);
+    let names: Vec<String> = conformance::run_battery(&base)
+        .into_iter()
+        .map(|c| {
+            assert!(c.passed, "{}: {}: {}", base.name, c.name, c.detail);
+            c.name
+        })
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "invariants",
+            "batch-vs-per-message",
+            "reset-vs-fresh",
+            "sharded-vs-serial"
+        ]
+    );
+
+    let delays = [
+        DelaySpec::Unit,
+        DelaySpec::Random { seed: 3 },
+        DelaySpec::Adversarial { salt: 9 },
+        DelaySpec::FifoWorst,
+        DelaySpec::Capped {
+            inner: Box::new(DelaySpec::Random { seed: 5 }),
+            tau_ticks: 16,
+        },
+    ];
+    let wakes = [
+        WakeSpec::Single { node: 7 },
+        WakeSpec::All,
+        WakeSpec::Staggered { gap: 0.75 },
+    ];
+    for (graph, seed) in [
+        (GraphSpec::Sparse { n: 24, seed: 3 }, 3),
+        (GraphSpec::Complete { n: 12 }, 8),
+        (GraphSpec::Torus { rows: 4, cols: 5 }, 1),
+    ] {
+        for delays in &delays {
+            for wake in &wakes {
+                let mut spec = base.clone();
+                spec.graph = graph.clone();
+                spec.delays = delays.clone();
+                spec.wake = wake.clone();
+                spec.engine.seed = seed;
+                spec.validate().unwrap();
+                for check in conformance::run_battery(&spec) {
+                    assert!(
+                        check.passed,
+                        "{graph:?}/{delays:?}/{wake:?}: {}: {}",
+                        check.name, check.detail
+                    );
+                }
+            }
+        }
     }
 }
 

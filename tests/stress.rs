@@ -7,10 +7,16 @@
 use wakeup::core::advice::{run_scheme, CenScheme};
 use wakeup::core::dfs_rank::DfsRank;
 use wakeup::core::flooding::FloodAsync;
-use wakeup::core::harness;
 use wakeup::graph::{generators, NodeId};
 use wakeup::sim::adversary::WakeSchedule;
-use wakeup::sim::Network;
+use wakeup::sim::{AsyncConfig, AsyncEngine, Network};
+
+fn async_seed(seed: u64) -> AsyncConfig {
+    AsyncConfig {
+        seed,
+        ..AsyncConfig::default()
+    }
+}
 
 #[test]
 #[ignore = "large-scale; run in release with -- --ignored"]
@@ -19,9 +25,10 @@ fn flooding_at_twenty_thousand_nodes() {
     let g = generators::erdos_renyi_connected(n, 8.0 / n as f64, 1).unwrap();
     let m = g.m() as u64;
     let net = Network::kt0(g, 1);
-    let run = harness::run_async::<FloodAsync>(&net, &WakeSchedule::single(NodeId::new(0)), 1);
-    assert!(run.report.all_awake);
-    assert_eq!(run.report.messages(), 2 * m);
+    let report = AsyncEngine::<FloodAsync>::new(&net, async_seed(1))
+        .run(&WakeSchedule::single(NodeId::new(0)));
+    assert!(report.all_awake);
+    assert_eq!(report.messages(), 2 * m);
 }
 
 #[test]
@@ -31,10 +38,11 @@ fn dfs_rank_at_five_thousand_nodes_staggered() {
     let g = generators::erdos_renyi_connected(n, 8.0 / n as f64, 2).unwrap();
     let net = Network::kt1(g, 2);
     let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let run = harness::run_async::<DfsRank>(&net, &WakeSchedule::staggered(&all, 2.0), 2);
-    assert!(run.report.all_awake);
+    let report =
+        AsyncEngine::<DfsRank>::new(&net, async_seed(2)).run(&WakeSchedule::staggered(&all, 2.0));
+    assert!(report.all_awake);
     let bound = (8.0 * n as f64 * (n as f64).ln()) as u64;
-    assert!(run.report.messages() <= bound);
+    assert!(report.messages() <= bound);
 }
 
 #[test]

@@ -9,10 +9,25 @@
 use wakeup::core::advice::{run_scheme, BfsTreeScheme, CenScheme, SpannerScheme, ThresholdScheme};
 use wakeup::core::dfs_rank::DfsRank;
 use wakeup::core::fast_wakeup::FastWakeUp;
-use wakeup::core::harness;
 use wakeup::graph::{generators, NodeId};
 use wakeup::lb::{thm1, thm2};
-use wakeup::sim::{adversary::WakeSchedule, Network};
+use wakeup::sim::{
+    adversary::WakeSchedule, AsyncConfig, AsyncEngine, Network, SyncConfig, SyncEngine,
+};
+
+fn async_seed(seed: u64) -> AsyncConfig {
+    AsyncConfig {
+        seed,
+        ..AsyncConfig::default()
+    }
+}
+
+fn sync_seed(seed: u64) -> SyncConfig {
+    SyncConfig {
+        seed,
+        ..SyncConfig::default()
+    }
+}
 
 const SIZES: [usize; 3] = [40, 80, 160];
 
@@ -35,9 +50,9 @@ fn row_thm3_dfs_rank_messages_n_log_n() {
         let net = Network::kt1(g, n as u64);
         let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
         let schedule = WakeSchedule::staggered(&all, 2.0 * n as f64);
-        let run = harness::run_async::<DfsRank>(&net, &schedule, 17);
-        assert!(run.report.all_awake);
-        ratios.push(run.report.messages() as f64 / (n as f64 * (n as f64).ln()));
+        let report = AsyncEngine::<DfsRank>::new(&net, async_seed(17)).run(&schedule);
+        assert!(report.all_awake);
+        ratios.push(report.messages() as f64 / (n as f64 * (n as f64).ln()));
     }
     ratios_bounded(&ratios, 6.0);
 }
@@ -49,10 +64,11 @@ fn row_thm4_fast_wakeup_messages_n_three_halves() {
         let g = generators::complete(n).unwrap();
         let net = Network::kt1(g, n as u64);
         let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-        let run = harness::run_sync::<FastWakeUp>(&net, &WakeSchedule::all_at_zero(&all), 23);
-        assert!(run.report.all_awake);
+        let report = SyncEngine::<FastWakeUp>::new(&net, sync_seed(23))
+            .run(&WakeSchedule::all_at_zero(&all));
+        assert!(report.all_awake);
         let shape = (n as f64).powf(1.5) * (n as f64).ln().sqrt();
-        ratios.push(run.report.messages() as f64 / shape);
+        ratios.push(report.messages() as f64 / shape);
     }
     ratios_bounded(&ratios, 16.0);
 }
@@ -220,18 +236,19 @@ fn critical_path_tau_bounds_measured_time_at_n_256() {
     let single = WakeSchedule::single(NodeId::new(0));
 
     let net0 = Network::kt0(g.clone(), 7);
-    let flood = harness::run_async::<FloodAsync>(&net0, &single, 7);
-    check("flooding", &flood.report);
+    let flood = AsyncEngine::<FloodAsync>::new(&net0, async_seed(7)).run(&single);
+    check("flooding", &flood);
 
     let net1 = Network::kt1(g.clone(), 7);
     let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let dfs = harness::run_async::<DfsRank>(&net1, &WakeSchedule::staggered(&all, 2.0), 7);
-    check("thm3 dfs_rank", &dfs.report);
+    let dfs =
+        AsyncEngine::<DfsRank>::new(&net1, async_seed(7)).run(&WakeSchedule::staggered(&all, 2.0));
+    check("thm3 dfs_rank", &dfs);
 
     let complete = generators::complete(n).unwrap();
     let netc = Network::kt1(complete, 7);
-    let fast = harness::run_sync::<FastWakeUp>(&netc, &single, 7);
-    check("thm4 fast_wakeup", &fast.report);
+    let fast = SyncEngine::<FastWakeUp>::new(&netc, sync_seed(7)).run(&single);
+    check("thm4 fast_wakeup", &fast);
 
     let cor1 = run_scheme(&BfsTreeScheme::new(), &net0, &single, 7);
     check("cor1 bfs_tree", &cor1.report);

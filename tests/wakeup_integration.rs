@@ -8,10 +8,23 @@ use wakeup::core::dfs_rank::DfsRank;
 use wakeup::core::fast_wakeup::FastWakeUp;
 use wakeup::core::flooding::{FloodAsync, FloodSync};
 use wakeup::core::gossip::SetGossip;
-use wakeup::core::harness;
 use wakeup::graph::{algo, generators, Graph, NodeId};
 use wakeup::sim::adversary::{AdversarialDelay, RandomDelay, WakeSchedule};
-use wakeup::sim::Network;
+use wakeup::sim::{AsyncConfig, AsyncEngine, Network, SyncConfig, SyncEngine};
+
+fn async_seed(seed: u64) -> AsyncConfig {
+    AsyncConfig {
+        seed,
+        ..AsyncConfig::default()
+    }
+}
+
+fn sync_seed(seed: u64) -> SyncConfig {
+    SyncConfig {
+        seed,
+        ..SyncConfig::default()
+    }
+}
 
 fn workloads() -> Vec<(String, Graph)> {
     vec![
@@ -46,11 +59,11 @@ fn flooding_wakes_everything_everywhere() {
     for (gname, g) in workloads() {
         for (sname, schedule) in schedules(&g, 1) {
             let net = Network::kt0(g.clone(), 1);
-            let run = harness::run_async::<FloodAsync>(&net, &schedule, 1);
-            assert!(run.report.all_awake, "{gname}/{sname}");
+            let report = AsyncEngine::<FloodAsync>::new(&net, async_seed(1)).run(&schedule);
+            assert!(report.all_awake, "{gname}/{sname}");
             let net = Network::kt1(g.clone(), 1);
-            let run = harness::run_sync::<FloodSync>(&net, &schedule, 1);
-            assert!(run.report.all_awake, "{gname}/{sname} sync");
+            let report = SyncEngine::<FloodSync>::new(&net, sync_seed(1)).run(&schedule);
+            assert!(report.all_awake, "{gname}/{sname} sync");
         }
     }
 }
@@ -60,8 +73,8 @@ fn dfs_rank_wakes_everything_everywhere() {
     for (gname, g) in workloads() {
         for (sname, schedule) in schedules(&g, 2) {
             let net = Network::kt1(g.clone(), 2);
-            let run = harness::run_async::<DfsRank>(&net, &schedule, 2);
-            assert!(run.report.all_awake, "{gname}/{sname}");
+            let report = AsyncEngine::<DfsRank>::new(&net, async_seed(2)).run(&schedule);
+            assert!(report.all_awake, "{gname}/{sname}");
         }
     }
 }
@@ -72,12 +85,11 @@ fn fast_wakeup_wakes_everything_within_ten_rho() {
         for (sname, schedule) in schedules(&g, 3) {
             let rho = algo::awake_distance(&g, &schedule.initially_awake());
             let net = Network::kt1(g.clone(), 3);
-            let run = harness::run_sync::<FastWakeUp>(&net, &schedule, 3);
-            assert!(run.report.all_awake, "{gname}/{sname}");
+            let report = SyncEngine::<FastWakeUp>::new(&net, sync_seed(3)).run(&schedule);
+            assert!(report.all_awake, "{gname}/{sname}");
             if sname == "single" || sname == "spread" {
                 let rho = rho.unwrap() as u64;
-                let rounds =
-                    run.report.metrics.all_awake_tick.unwrap() / wakeup::sim::TICKS_PER_UNIT;
+                let rounds = report.metrics.all_awake_tick.unwrap() / wakeup::sim::TICKS_PER_UNIT;
                 assert!(
                     rounds <= 10 * rho.max(1),
                     "{gname}/{sname}: {rounds} rounds > 10ρ = {}",
@@ -92,8 +104,9 @@ fn fast_wakeup_wakes_everything_within_ten_rho() {
 fn gossip_wakes_everything_everywhere() {
     for (gname, g) in workloads() {
         let net = Network::kt1(g.clone(), 4);
-        let run = harness::run_sync::<SetGossip>(&net, &WakeSchedule::single(NodeId::new(0)), 4);
-        assert!(run.report.all_awake, "{gname}");
+        let report = SyncEngine::<SetGossip>::new(&net, sync_seed(4))
+            .run(&WakeSchedule::single(NodeId::new(0)));
+        assert!(report.all_awake, "{gname}");
     }
 }
 
@@ -147,11 +160,13 @@ fn random_and_adversarial_delays_never_break_correctness() {
     );
     for seed in 0..6 {
         let mut random = RandomDelay::new(seed);
-        let run = harness::run_async_with_delays::<DfsRank>(&net, &schedule, seed, &mut random);
-        assert!(run.report.all_awake, "random delay seed {seed}");
+        let report =
+            AsyncEngine::<DfsRank>::new(&net, async_seed(seed)).run_with(&schedule, &mut random);
+        assert!(report.all_awake, "random delay seed {seed}");
         let mut skew = AdversarialDelay::new(seed);
-        let run = harness::run_async_with_delays::<DfsRank>(&net, &schedule, seed, &mut skew);
-        assert!(run.report.all_awake, "skew delay seed {seed}");
+        let report =
+            AsyncEngine::<DfsRank>::new(&net, async_seed(seed)).run_with(&schedule, &mut skew);
+        assert!(report.all_awake, "skew delay seed {seed}");
     }
 }
 
@@ -162,11 +177,11 @@ fn message_efficiency_ordering_holds_on_dense_graphs() {
     let g = generators::erdos_renyi_connected(80, 0.5, 7).unwrap();
     let schedule = WakeSchedule::single(NodeId::new(0));
     let net0 = Network::kt0(g.clone(), 7);
-    let flood = harness::run_async::<FloodAsync>(&net0, &schedule, 7);
+    let flood = AsyncEngine::<FloodAsync>::new(&net0, async_seed(7)).run(&schedule);
     let thresh = run_scheme(&ThresholdScheme::new(), &net0, &schedule, 7);
     let tree = run_scheme(&BfsTreeScheme::new(), &net0, &schedule, 7);
     let cen = run_scheme(&CenScheme::new(), &net0, &schedule, 7);
-    assert!(flood.report.messages() > thresh.report.messages());
+    assert!(flood.messages() > thresh.report.messages());
     assert!(thresh.report.messages() >= tree.report.messages());
     // CEN pays a constant factor over the plain tree scheme but stays O(n).
     assert!(cen.report.messages() <= 3 * (g.n() as u64));
