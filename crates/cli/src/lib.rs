@@ -450,8 +450,8 @@ impl Summary {
 ///
 /// The network takes the knowledge mode the algorithm is defined for, and
 /// the run goes through the scenario runner
-/// ([`wakeup_scenario::run::run_protocol`]) on one shard. Advising schemes
-/// run under unit delays whatever `delays` says.
+/// ([`wakeup_scenario::run::run_protocol`]) on one shard, under `delays`
+/// for every async algorithm (sync ones ignore it).
 ///
 /// # Errors
 ///
@@ -465,11 +465,6 @@ pub fn execute(
 ) -> Result<Summary, CliError> {
     let protocol = parse_algo(algo_spec)?;
     let net = scenario_run::network_for(protocol, graph, seed);
-    let delays = if protocol.is_scheme() {
-        &DelaySpec::Unit
-    } else {
-        delays
-    };
     let engine = EngineSpec {
         seed,
         shards: 1,
@@ -746,9 +741,7 @@ mod tests {
     fn cli_flags(spec: &ScenarioSpec) -> Option<(String, String, String)> {
         let expressible = spec.engine.shards == 1
             && spec.report.as_ref().is_none_or(|r| r.obs.is_none())
-            && parse_algo(&algo_name(&spec.protocol)).is_ok()
-            // Advising schemes run under unit delays whatever --delays says.
-            && (!spec.protocol.is_scheme() || spec.delays == DelaySpec::Unit);
+            && parse_algo(&algo_name(&spec.protocol)).is_ok();
         if !expressible {
             return None;
         }
@@ -803,6 +796,40 @@ mod tests {
         }
         assert!(compared.iter().any(|f| f == "03-thm4.json"), "{compared:?}");
         assert!(compared.len() >= 15, "{compared:?}");
+    }
+
+    /// Advising schemes run under the `--delays` strategy like every other
+    /// async algorithm, and agree with `run --scenario` on the same spec.
+    #[test]
+    fn advising_schemes_honour_delays() {
+        let run = |delays: &DelaySpec| {
+            let graph = parse_graph("gnp:64:0.125:3").unwrap();
+            let schedule = parse_schedule("single:0", 64).unwrap();
+            execute("cor1", graph, &schedule, 7, delays)
+                .unwrap()
+                .to_string()
+        };
+        let random = DelaySpec::Random { seed: 5 };
+        let (unit, flags) = (run(&DelaySpec::Unit), run(&random));
+        assert_ne!(unit, flags);
+        let spec = ScenarioSpec {
+            name: "cor1-random".into(),
+            graph: GraphSpec::Gnp {
+                n: 64,
+                p: 0.125,
+                seed: 3,
+            },
+            protocol: ProtocolSpec::Cor1,
+            wake: WakeSpec::Single { node: 0 },
+            delays: random,
+            engine: EngineSpec {
+                seed: 7,
+                shards: 1,
+                audit: false,
+            },
+            report: None,
+        };
+        assert_eq!(flags, scenario_summary(&spec).to_string());
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl IdSet {
 ///
 /// The naive implementation scans `token.visited` once per neighbor per
 /// arrival (O(deg · n) per hop, O(n²·deg) per traversal). The token instead
-/// carries an O(1)-membership mirror of its visited list ([`IdSet`],
+/// carries an O(1)-membership mirror of its visited list (`IdSet`,
 /// maintained at the two append sites), and each node keeps a cursor to the
 /// first possibly-unvisited neighbor in ascending-ID order for the one token
 /// key it is tracking. Because each `(rank, origin)` key names a *single

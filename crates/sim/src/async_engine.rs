@@ -17,7 +17,7 @@
 //! count: schedule wakes run first in ascending node-id order, then the
 //! tick's deliveries as one batch per receiving node, receivers ascending,
 //! each receiver's batch in channel send order (bucket insertion order is
-//! send order, and the per-receiver scatter preserves it). The engine has
+//! send order, and the grouping below is stable). The engine has
 //! one executor, the shard worker: at one shard (see [`AsyncConfig::shards`]
 //! and the `shard` module) it runs inline on the calling thread and pushes
 //! sends straight into its wheel; at `k > 1` the canonical order is what
@@ -32,9 +32,17 @@
 //! and moved out once, and a broadcast is stored once and shared across
 //! deg(v) wheel entries. Per-channel FIFO horizons and sequence counters are
 //! flat arrays indexed by the dense directed-edge slots of [`NodeTables`].
-//! Within a tick, consecutive wheel entries addressed to the same receiver
-//! are handed to the protocol as one batch (`on_messages_batch`), which
-//! preserves delivery order exactly while amortizing per-delivery dispatch.
+//!
+//! # Delivery grouping
+//!
+//! Every delivery of a tick addressed to the same receiver is handed to the
+//! protocol as one batch (`on_messages_batch`), which preserves delivery
+//! order exactly while amortizing per-delivery dispatch. The tick's bucket
+//! is grouped by a stable counting sort into one flat buffer (the wheel's
+//! spare bucket storage): count entries per receiver in a per-node `u32`
+//! array while listing first-time receivers, sort that list, turn the
+//! counts into offsets, and scatter. Each receiver's batch is then one
+//! contiguous slice; no per-receiver list is allocated or kept.
 
 use std::sync::Arc;
 
@@ -126,8 +134,8 @@ struct TimerWheel {
     buckets: Vec<Vec<DeliverEntry>>,
     occupied: [u64; WHEEL_WORDS],
     len: usize,
-    /// Drained-bucket storage kept around so steady-state ticks reuse one
-    /// allocation instead of churning.
+    /// Drained-bucket storage, lent out with each taken bucket as the
+    /// destination of its per-receiver grouping (see [`group_by_receiver`]).
     spare: Vec<DeliverEntry>,
 }
 
@@ -157,22 +165,33 @@ impl TimerWheel {
         self.len += 1;
     }
 
-    /// Removes and returns the bucket for `tick`. While the caller iterates
-    /// it, pushes can only target *other* buckets (deliveries always land
-    /// strictly later, and the horizon is narrower than the ring), so the
-    /// bucket cannot grow behind the caller's back. Return the storage via
-    /// [`TimerWheel::restore_bucket`].
-    fn take_bucket(&mut self, tick: u64) -> Vec<DeliverEntry> {
+    /// Removes and returns the bucket for `tick`, together with the (empty)
+    /// spare storage. While the caller works on them, pushes can only target
+    /// *other* buckets (deliveries always land strictly later, and the
+    /// horizon is narrower than the ring), so the bucket's slot stays empty
+    /// until [`TimerWheel::restore_bucket`] hands both back.
+    fn take_bucket(&mut self, tick: u64) -> (Vec<DeliverEntry>, Vec<DeliverEntry>) {
         let b = (tick & WHEEL_MASK) as usize;
         self.occupied[b / 64] &= !(1 << (b % 64));
-        let bucket = std::mem::replace(&mut self.buckets[b], std::mem::take(&mut self.spare));
+        let bucket = std::mem::take(&mut self.buckets[b]);
         self.len -= bucket.len();
-        bucket
+        (bucket, std::mem::take(&mut self.spare))
     }
 
-    fn restore_bucket(&mut self, mut bucket: Vec<DeliverEntry>) {
+    /// Returns the storage lent by [`TimerWheel::take_bucket`]: the bucket
+    /// to its slot, the spare to the wheel.
+    fn restore_bucket(
+        &mut self,
+        tick: u64,
+        mut bucket: Vec<DeliverEntry>,
+        mut spare: Vec<DeliverEntry>,
+    ) {
+        let b = (tick & WHEEL_MASK) as usize;
+        debug_assert!(self.buckets[b].is_empty());
         bucket.clear();
-        self.spare = bucket;
+        spare.clear();
+        self.buckets[b] = bucket;
+        self.spare = spare;
     }
 
     /// Empties the wheel (any undelivered entries left by a truncated run
@@ -224,6 +243,52 @@ impl TimerWheel {
     }
 }
 
+/// Groups one tick's wheel bucket by receiver: a stable counting sort of
+/// `bucket` into `out`, which must be empty.
+///
+/// On return `touched` lists the bucket's receivers ascending (it must be
+/// empty on entry), `out` holds the entries receiver-major with each
+/// receiver's entries in bucket order (= send order), and
+/// `counts[to − lo]` is the exclusive end in `out` of receiver `to`'s run;
+/// the run starts where the previous receiver's ends (0 for the first).
+/// Every entry of `counts` must be zero on entry; the caller zeroes the
+/// touched ones again as it walks the runs.
+fn group_by_receiver(
+    bucket: &[DeliverEntry],
+    lo: usize,
+    counts: &mut [u32],
+    touched: &mut Vec<u32>,
+    out: &mut Vec<DeliverEntry>,
+) {
+    debug_assert!(touched.is_empty() && out.is_empty());
+    assert!(
+        u32::try_from(bucket.len()).is_ok(),
+        "tick bucket overflows u32 offsets"
+    );
+    for e in bucket {
+        let c = &mut counts[e.to as usize - lo];
+        if *c == 0 {
+            touched.push(e.to);
+        }
+        *c += 1;
+    }
+    touched.sort_unstable();
+    let mut offset = 0;
+    for &to in touched.iter() {
+        let c = &mut counts[to as usize - lo];
+        let count = *c;
+        *c = offset;
+        offset += count;
+    }
+    // Scatter over a copy: every position is overwritten exactly once.
+    out.extend_from_slice(bucket);
+    for &e in bucket {
+        let c = &mut counts[e.to as usize - lo];
+        out[*c as usize] = e;
+        *c += 1;
+    }
+}
+
 /// Discrete-event simulator for the asynchronous model.
 ///
 /// See the crate-level example. Delays come from a [`DelayStrategy`] (default
@@ -257,15 +322,17 @@ struct AsyncScratch<M> {
 }
 
 /// One worker's run-to-run reusable buffers: the wheel, the payload arena,
-/// the per-receiver scatter lists, and the outbox/batch buffers lent to
-/// handlers, plus the stage buffers the exchange uses at `k > 1`.
+/// the delivery grouping's per-node counts and receiver list, and the
+/// outbox/batch buffers lent to handlers, plus the stage buffers the
+/// exchange uses at `k > 1`.
 struct ShardScratch<M> {
     wheel: TimerWheel,
     arena: PayloadArena<M>,
-    /// Per-receiver scatter lists for the within-tick delivery phase,
-    /// lazily sized to the shard's node count.
-    pending: Vec<Vec<DeliverEntry>>,
-    /// Receivers with a non-empty `pending` list this tick.
+    /// Per owned node: the delivery grouping's count, then offset, of the
+    /// node's entries in the current tick (see [`group_by_receiver`]);
+    /// all zero between ticks.
+    counts: Vec<u32>,
+    /// The current tick's receivers, ascending.
     touched: Vec<u32>,
     entries_buf: Vec<(Port, PayloadRef)>,
     batch_buf: Vec<(Incoming, M)>,
@@ -278,7 +345,7 @@ impl<M> ShardScratch<M> {
         ShardScratch {
             wheel: TimerWheel::new(),
             arena: PayloadArena::default(),
-            pending: Vec::new(),
+            counts: Vec::new(),
             touched: Vec::new(),
             entries_buf: Vec::new(),
             batch_buf: Vec::new(),
@@ -350,7 +417,6 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
             config.advice.as_deref().map(Vec::as_slice),
             |_, init| protocols.push(P::init(init)),
         );
-        let dir_edges = tables.directed_edges();
         AsyncEngine {
             net,
             tables,
@@ -358,8 +424,8 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
             config,
             protocols,
             scratch: AsyncScratch {
-                channel_next: vec![0; dir_edges],
-                channel_seq: vec![0; dir_edges],
+                channel_next: Vec::new(),
+                channel_seq: Vec::new(),
                 shards: Vec::new(),
             },
         }
@@ -440,8 +506,15 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         if self.scratch.shards.len() != k {
             self.scratch.shards = (0..k).map(|_| ShardScratch::new(k)).collect();
         }
-        self.scratch.channel_next.fill(0);
-        self.scratch.channel_seq.fill(0);
+        // Sized and zeroed here, once per run (a fresh engine allocates
+        // them empty).
+        for channel in [
+            &mut self.scratch.channel_next,
+            &mut self.scratch.channel_seq,
+        ] {
+            channel.clear();
+            channel.resize(tables.directed_edges(), 0);
+        }
         if let Some(rel) = rel {
             rel.permute_to_run(&mut self.protocols);
         }
@@ -465,9 +538,8 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
             let (lo, hi) = plan.shards.range(s);
             sc.wheel.clear();
             sc.arena.clear();
-            if sc.pending.len() < hi - lo {
-                sc.pending.resize_with(hi - lo, Vec::new);
-            }
+            sc.counts.clear();
+            sc.counts.resize(hi - lo, 0);
             workers.push(AsyncShard {
                 me: s,
                 lo,
@@ -691,51 +763,48 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             }
         }
         self.phase = 1;
-        let bucket = self.sc.wheel.take_bucket(now);
+        let (bucket, mut grouped) = self.sc.wheel.take_bucket(now);
         let delivered = bucket.len() as u64;
         self.new_events += delivered;
         let mut touched = std::mem::take(&mut self.sc.touched);
-        let mut pending = std::mem::take(&mut self.sc.pending);
-        for &e in bucket.iter() {
-            let pend = &mut pending[e.to as usize - self.lo];
-            if pend.is_empty() {
-                touched.push(e.to);
-            }
-            pend.push(e);
-        }
-        touched.sort_unstable();
+        group_by_receiver(
+            &bucket,
+            self.lo,
+            &mut self.sc.counts,
+            &mut touched,
+            &mut grouped,
+        );
         let obs_full = self.obs.level == crate::obs::ObsLevel::Full;
         let relabeled = self.rel.is_some();
         // Batch sizes accumulate in a local across the tick (one spill per
         // size change) rather than one histogram read-modify-write per
         // batch — see `ValueRun`.
         let mut batch_run = self.batch_run;
+        let mut start = 0;
         for (i, &to) in touched.iter().enumerate() {
-            // Warm the next receiver's protocol state and pending row while
-            // this batch's handler runs; run-space ids make `touched` nearly
-            // contiguous, so the lines are usually still resident when used.
+            // Warm the next receiver's protocol state while this batch's
+            // handler runs; run-space ids make `touched` nearly contiguous,
+            // so the lines are usually still resident when used.
             if let Some(&nx) = touched.get(i + 1) {
                 crate::prefetch::prefetch_index(self.nodes.protocols, nx as usize - self.lo);
-                crate::prefetch::prefetch_index(&pending, nx as usize - self.lo);
             }
-            let mut pend = std::mem::take(&mut pending[to as usize - self.lo]);
-            if relabeled && pend.len() > 1 {
+            let end = std::mem::take(&mut self.sc.counts[to as usize - self.lo]) as usize;
+            let batch = &mut grouped[start..end];
+            start = end;
+            if relabeled && batch.len() > 1 {
                 // Stable sort by packed key restores the identity-space
                 // batch order (see `DeliverEntry::from`).
-                pend.sort_by_key(|e| e.from);
+                batch.sort_by_key(|e| e.from);
             }
             if obs_full {
-                batch_run.note(&mut self.obs.batch_sizes, pend.len() as u64);
+                batch_run.note(&mut self.obs.batch_sizes, batch.len() as u64);
             }
-            self.deliver_batch(&pend, now, delays);
-            pend.clear();
-            pending[to as usize - self.lo] = pend;
+            self.deliver_batch(batch, now, delays);
         }
         self.batch_run = batch_run;
         touched.clear();
         self.sc.touched = touched;
-        self.sc.pending = pending;
-        self.sc.wheel.restore_bucket(bucket);
+        self.sc.wheel.restore_bucket(now, bucket, grouped);
         self.prev_tick = now;
         let (sends, bits) = (self.obs.sends - sends0, self.sm.bits_sent - bits0);
         self.obs.tl_traffic(now, delivered, sends, bits);
@@ -790,7 +859,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
         self.sc.entries_buf = entries;
     }
 
-    /// Delivers a maximal run of same-tick, same-receiver entries: metrics
+    /// Delivers one receiver's entries of the tick, in send order: metrics
     /// and the audit log per entry, wake-on-message once, one batch handler
     /// call, one dispatch. Equivalent to delivering the entries one by one
     /// — the handler's sends land in strictly later ticks either way, so
@@ -1591,5 +1660,151 @@ mod tests {
             .run_into_parts(&WakeSchedule::single(NodeId::new(0)), &mut UnitDelay);
         assert_eq!(report.outputs[1], Some(6));
         assert_eq!(states[1].batches, vec![6]);
+    }
+
+    /// Checks `group_by_receiver` against the reference stable sort by
+    /// receiver on random buckets (shard offset `lo`, receivers drawn with
+    /// repeats from `[lo, lo + nodes)`), then the relabeled
+    /// per-receiver re-sort against the reference `(to, from)` sort with
+    /// packed keys. Each entry's `rport` is its bucket position, so the
+    /// comparison sees stability, not just membership.
+    #[test]
+    fn grouping_matches_a_stable_sort_by_receiver() {
+        let msg = PayloadArena::<()>::default().insert_with_bits((), 0);
+        let mut rng = wakeup_graph::rng::Xoshiro256::seed_from(17);
+        let mut below = |k: u64| rng.next_u64() % k;
+        let (mut counts, mut touched, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        for case in 0..200u64 {
+            let lo = below(50) as usize;
+            let nodes = 1 + below(if case % 2 == 0 { 8 } else { 300 }) as usize;
+            let len = below(400) as usize;
+            let bucket: Vec<DeliverEntry> = (0..len)
+                .map(|i| DeliverEntry {
+                    to: (lo + below(nodes as u64) as usize) as u32,
+                    from: crate::network::pack_entry_key(
+                        1 + below(TICKS_PER_UNIT),
+                        below(2) as u8,
+                        below(1 << 20) as u32,
+                    ),
+                    rport: i as u32,
+                    msg,
+                })
+                .collect();
+            counts.clear();
+            counts.resize(nodes, 0u32);
+            group_by_receiver(&bucket, lo, &mut counts, &mut touched, &mut out);
+            let fields = |es: &[DeliverEntry]| -> Vec<(u32, u32, u32)> {
+                es.iter().map(|e| (e.to, e.from, e.rport)).collect()
+            };
+            let mut reference = bucket.clone();
+            reference.sort_by_key(|e| e.to);
+            assert_eq!(fields(&out), fields(&reference), "case {case}");
+            let mut receivers: Vec<u32> = bucket.iter().map(|e| e.to).collect();
+            receivers.sort_unstable();
+            receivers.dedup();
+            assert_eq!(touched, receivers, "case {case}");
+            // Walk the runs as the engine does, re-sorting each by packed key.
+            let mut start = 0;
+            for &to in &touched {
+                let end = std::mem::take(&mut counts[to as usize - lo]) as usize;
+                assert!(start < end && out[start..end].iter().all(|e| e.to == to));
+                out[start..end].sort_by_key(|e| e.from);
+                start = end;
+            }
+            assert_eq!(start, len);
+            assert!(counts.iter().all(|&c| c == 0), "case {case}");
+            reference.sort_by_key(|e| (e.to, e.from));
+            assert_eq!(fields(&out), fields(&reference), "case {case}");
+            touched.clear();
+            out.clear();
+        }
+    }
+
+    /// Records each delivery batch as its sender list, and the receivers in
+    /// handler-call order (per test thread; the one-shard engine runs
+    /// inline). Adversary-woken nodes broadcast their own index once.
+    struct GroupProbe {
+        batches: Vec<Vec<u32>>,
+    }
+    thread_local! {
+        static BATCH_CALLS: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+    impl AsyncProtocol for GroupProbe {
+        type Msg = Token;
+        fn init(_: &NodeInit<'_>) -> Self {
+            GroupProbe {
+                batches: Vec::new(),
+            }
+        }
+        fn on_wake(&mut self, ctx: &mut Context<'_, Token>, cause: WakeCause) {
+            if cause == WakeCause::Adversary {
+                ctx.broadcast(Token(ctx.node().index() as u32));
+            }
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Token>, _: Incoming, _: Token) {
+            unreachable!("the engine must call on_messages_batch, not on_message");
+        }
+        fn on_messages_batch(
+            &mut self,
+            ctx: &mut Context<'_, Token>,
+            inbox: &mut Inbox<'_, Token>,
+        ) {
+            BATCH_CALLS.with(|c| c.borrow_mut().push(ctx.node().index() as u32));
+            let mut senders = Vec::new();
+            while let Some((_, Token(s))) = inbox.next() {
+                senders.push(s);
+            }
+            self.batches.push(senders);
+        }
+    }
+
+    /// Runs `GroupProbe` and returns the final states and the receivers in
+    /// batch-call order.
+    fn group_probe(
+        net: &Network,
+        schedule: &WakeSchedule,
+    ) -> (RunReport, Vec<GroupProbe>, Vec<u32>) {
+        BATCH_CALLS.with(|c| c.borrow_mut().clear());
+        let (report, states) = AsyncEngine::<GroupProbe>::new(net, AsyncConfig::default())
+            .run_into_parts(schedule, &mut UnitDelay);
+        (report, states, BATCH_CALLS.with(|c| c.take()))
+    }
+
+    /// One tick whose bucket interleaves receivers — A→x, B→y, C→x, in
+    /// send order — delivers one batch `[A, C]` to x, then one batch `[B]`
+    /// to y.
+    #[test]
+    fn interleaved_bucket_delivers_one_batch_per_receiver() {
+        let (a, b, c, x, y) = (0, 1, 2, 3, 4);
+        let g = wakeup_graph::Graph::from_edges(5, &[(a, x), (b, y), (c, x)]).unwrap();
+        let net = Network::kt0(g, 1);
+        let senders: Vec<NodeId> = [a, b, c].map(NodeId::new).to_vec();
+        let (report, states, calls) = group_probe(&net, &WakeSchedule::all_at_zero(&senders));
+        assert!(report.all_awake);
+        assert_eq!(states[x].batches, vec![vec![a as u32, c as u32]]);
+        assert_eq!(states[y].batches, vec![vec![b as u32]]);
+        assert_eq!(calls, vec![x as u32, y as u32]);
+    }
+
+    /// A tick holding only an adversary wake has an empty bucket: it
+    /// delivers nothing, and the deliveries before and after it are
+    /// unaffected.
+    #[test]
+    fn wake_only_tick_delivers_nothing() {
+        let net = Network::kt0(generators::path(2).unwrap(), 0);
+        let half = TICKS_PER_UNIT / 2;
+        let schedule = WakeSchedule::from_pairs(&[(NodeId::new(0), 0.0), (NodeId::new(1), 0.5)]);
+        let (report, states, calls) = group_probe(&net, &schedule);
+        assert_eq!(report.metrics.wake_tick, vec![Some(0), Some(half)]);
+        assert_eq!(report.metrics.messages_sent, 2);
+        // Two schedule wakes and two deliveries, at ticks τ and τ + τ/2.
+        assert_eq!(report.obs.events, 4);
+        assert_eq!(
+            report.metrics.last_receipt_tick,
+            Some(TICKS_PER_UNIT + half)
+        );
+        assert_eq!(states[1].batches, vec![vec![0]]);
+        assert_eq!(states[0].batches, vec![vec![1]]);
+        assert_eq!(calls, vec![1, 0]);
     }
 }

@@ -194,7 +194,7 @@ impl Network {
     }
 
     /// Opts this network into relabeled execution regardless of the
-    /// [`MIN_RELABEL_N`] size heuristic (the `n`-range and env gates still
+    /// `MIN_RELABEL_N` size heuristic (the `n`-range and env gates still
     /// apply). Only effective before the first engine touches the network;
     /// used by the relabeled-vs-identity differential tests and the
     /// relabeled-bake round-trip tests, which need run spaces on networks

@@ -338,8 +338,8 @@ pub struct PhaseSpan {
 /// order, which permutes actors within a `(tick, phase)` segment, so the
 /// first-entered order of labels can differ from the identity run's. The
 /// engines then enable canonical-key tracking: before each handler they call
-/// [`PhaseSpans::set_handler`] with the **original** actor id, `enter` keeps
-/// the minimal [`SpanKey`] per label, and [`PhaseSpans::finish_key_order`]
+/// `PhaseSpans::set_handler` with the **original** actor id, `enter` keeps
+/// the minimal `SpanKey` per label, and `PhaseSpans::finish_key_order`
 /// re-sorts the table into the identity run's first-entered order.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseSpans {

@@ -365,8 +365,8 @@ impl ObsSnapshot {
     /// scalar, cumulative `_bucket{le="..."}` series per histogram (the `le`
     /// labels are the log2 buckets' inclusive upper bounds), per-window
     /// timeline gauges, and the derived internals. Metric names are passed
-    /// through [`prom_metric_name`] and label values through
-    /// [`prom_label_escape`], so arbitrary phase labels can't corrupt the
+    /// through `prom_metric_name` and label values through
+    /// `prom_label_escape`, so arbitrary phase labels can't corrupt the
     /// exposition format.
     pub fn to_prometheus(&self) -> String {
         let mut s = String::with_capacity(2048);

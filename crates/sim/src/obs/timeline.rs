@@ -107,7 +107,7 @@ impl WindowDelta {
 }
 
 /// The windowed recorder (see the module docs). One per shard worker;
-/// merged by [`Timeline::merge`].
+/// merged by `Timeline::merge`.
 #[derive(Debug, Clone)]
 pub struct Timeline {
     cfg: WindowCfg,
@@ -237,7 +237,7 @@ impl Timeline {
     }
 
     /// The dense per-window deltas recorded so far (valid after
-    /// [`Timeline::finish`]; index = window id).
+    /// `Timeline::finish`; index = window id).
     pub fn rows(&self) -> &[WindowDelta] {
         &self.rows
     }

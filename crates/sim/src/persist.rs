@@ -3,29 +3,29 @@
 //!
 //! Every buffer the simulator needs is already flat and CSR-indexed
 //! ([`Graph`]'s offsets/adjacency, the flattened [`PortAssignment`], the
-//! engine [`NodeTables`]), so encoding is a straight dump of those buffers
+//! engine `NodeTables`), so encoding is a straight dump of those buffers
 //! into little-endian sections, and decoding serves every large section as
 //! a zero-copy [`wakeup_store::Buf`] view straight out of the mmap — no
 //! per-node walking, no re-derivation, and no bulk copies on the reload
 //! hot path. The degree prefix sums are shared by the graph, the port
 //! assignment, and the edge-slot tables, so they are stored exactly once
-//! ([`tag::OFFSETS`]) and the *same* mapping window backs all three on
+//! (`tag::OFFSETS`) and the *same* mapping window backs all three on
 //! reload (a `Buf` clone is an `Arc` clone).
 //!
 //! The reverse port table is written as one interleaved `u32` section
 //! (`id, port, id, port, …`) and viewed as `Buf<PortEntry>` — a `repr(C)`
 //! pair of `u32` newtypes whose layout is pinned by its
 //! [`wakeup_store::SectionElem`] impl. The engines' hot per-slot pair
-//! `(to, rport)` is stored the same way ([`tag::TBL_EDGE_HOT`], viewed as
+//! `(to, rport)` is stored the same way (`tag::TBL_EDGE_HOT`, viewed as
 //! `Buf<EdgeHot>`). The small KT1 `(id, port)` lookup pairing keeps split
 //! primitive sections and is copied on reload: a Rust tuple has no
 //! guaranteed layout, and at 12 bytes per directed edge only under KT1 it
 //! is nowhere near the reload budget.
 //!
 //! Networks with a locality run space bake their table sections in *run*
-//! space alongside the [`tag::PERM`] permutation and the run-space prefix
-//! sums ([`tag::TBL_OFFSETS`] — permuted degrees cannot share
-//! [`tag::OFFSETS`]); reload presets the run space directly, so the RCM
+//! space alongside the `tag::PERM` permutation and the run-space prefix
+//! sums (`tag::TBL_OFFSETS` — permuted degrees cannot share
+//! `tag::OFFSETS`); reload presets the run space directly, so the RCM
 //! relabeling is never recomputed on the artifact hot path.
 //!
 //! This module contains no `unsafe` (the crate denies it outside the one
@@ -110,7 +110,7 @@ fn malformed(why: &'static str) -> StoreError {
 /// Encodes a network (including its derived engine tables and, when
 /// eligible, its locality run space — both built now if not already) into a
 /// store writer keyed by `key`. Networks with a run space store the
-/// run-space table set plus the [`tag::PERM`] permutation; reload then
+/// run-space table set plus the `tag::PERM` permutation; reload then
 /// presets the run space and rebuilds identity tables lazily only if an
 /// identity-bound engine (audit recording) asks for them.
 pub fn encode_network(key: &str, net: &Network) -> StoreWriter {

@@ -15,7 +15,7 @@
 //!
 //! 1. each worker processes the current window over its owned nodes,
 //!    staging every send into per-`(destination shard, phase)` buffers;
-//! 2. workers swap their staged batches into the [`Cells`] mailboxes and
+//! 2. workers swap their staged batches into the `Cells` mailboxes and
 //!    publish their local progress, then meet the coordinator at a barrier;
 //! 3. the coordinator reads the publications, picks the next window (or
 //!    stops), and releases the workers through a second barrier;
@@ -45,7 +45,7 @@ use crate::obs::{ObsLevel, ShardObs};
 
 /// Largest shard count a run uses. The exchange keeps `k × k × PHASES`
 /// mailboxes plus `k × PHASES` stage buffers per worker, so the request is
-/// clamped here ([`ShardPlan`]) and rejected beyond it by the scenario
+/// clamped here (`ShardPlan`) and rejected beyond it by the scenario
 /// parser, instead of letting an oversized request allocate ~k² mutexes.
 pub const MAX_SHARDS: usize = 256;
 
