@@ -37,7 +37,7 @@ use wakeup_bench::artifacts::{
 };
 use wakeup_sim::KnowledgeMode;
 
-use crate::CliError;
+use crate::{only_flags, CliError};
 
 /// Largest node count at which the corpus bakes the complete family: the
 /// largest complete graph a committed workload loads (Table 1's Theorem 4
@@ -106,6 +106,15 @@ pub fn cmd_bake(
     verify: bool,
     stats: bool,
 ) -> Result<(), CliError> {
+    if flags.contains_key("scenario") {
+        // The spec fixes the sizes and seeds, and has no stats report.
+        only_flags("bake --scenario", flags.keys(), &["dir", "scenario"])?;
+        if stats {
+            return Err(CliError(
+                "wakeup bake --scenario does not take --stats".into(),
+            ));
+        }
+    }
     let dir: PathBuf = match flags.get("dir") {
         Some(d) => PathBuf::from(d),
         None => std::env::var_os("WAKEUP_STORE")

@@ -50,6 +50,49 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
+/// Checks that every flag in `given` is one `cmd` takes: a flag the
+/// command would ignore is an error naming it (the first in sorted order),
+/// not a setting that silently has no effect.
+///
+/// # Errors
+///
+/// Returns a [`CliError`] naming the first flag outside `accepted`, and
+/// the flags `cmd` does take.
+///
+/// # Example
+///
+/// ```
+/// let given = ["count", "bogus"].map(String::from);
+/// let e = wakeup_cli::only_flags("trials", &given, &["algo", "count"]).unwrap_err();
+/// assert!(e.0.contains("--bogus"));
+/// assert!(wakeup_cli::only_flags("trials", &given[..1], &["algo", "count"]).is_ok());
+/// ```
+pub fn only_flags<'a>(
+    cmd: &str,
+    given: impl IntoIterator<Item = &'a String>,
+    accepted: &[&str],
+) -> Result<(), CliError> {
+    let mut unknown: Vec<&String> = given
+        .into_iter()
+        .filter(|k| !accepted.contains(&k.as_str()))
+        .collect();
+    unknown.sort();
+    match unknown.first() {
+        None => Ok(()),
+        Some(key) => {
+            let takes: Vec<String> = accepted.iter().map(|f| format!("--{f}")).collect();
+            let takes = if takes.is_empty() {
+                "no flags".to_string()
+            } else {
+                takes.join(", ")
+            };
+            Err(err(format!(
+                "wakeup {cmd} does not take --{key} (it takes {takes})"
+            )))
+        }
+    }
+}
+
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, CliError> {
     s.parse().map_err(|_| err(format!("invalid {what}: {s:?}")))
 }

@@ -14,8 +14,8 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use wakeup_cli::{
-    cmd_bake, cmd_fuzz, cmd_obs, cmd_run_scenario, execute, graph_info, parse_delays, parse_graph,
-    parse_schedule, run_trials, sweep, CliError,
+    cmd_bake, cmd_fuzz, cmd_obs, cmd_run_scenario, execute, graph_info, only_flags, parse_algo,
+    parse_delays, parse_graph, parse_schedule, run_trials, sweep, CliError,
 };
 
 const HELP: &str = "\
@@ -71,7 +71,22 @@ sparkline. diff compares two files field-by-field: runtime.* (and any
 — an exact mismatch exits nonzero. timeline dumps the windowed series.
 ";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
+/// The flags each flag-taking subcommand accepts.
+const RUN_FLAGS: &[&str] = &["algo", "graph", "wake", "seed", "delays", "scenario"];
+const SWEEP_FLAGS: &[&str] = &["algo", "family", "sizes", "seed"];
+const TRIALS_FLAGS: &[&str] = &["algo", "graph", "wake", "count", "seed"];
+const INFO_FLAGS: &[&str] = &["graph"];
+const BAKE_FLAGS: &[&str] = &["dir", "n", "seed", "scenario"];
+const FUZZ_FLAGS: &[&str] = &["seed", "count", "out-dir"];
+
+/// Parses `--flag value` pairs for subcommand `cmd`, which takes only the
+/// flags in `accepted`; an unknown flag, or one given twice, is an error
+/// naming it.
+fn parse_flags(
+    cmd: &str,
+    args: &[String],
+    accepted: &[&str],
+) -> Result<HashMap<String, String>, CliError> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -81,9 +96,12 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
         let value = args
             .get(i + 1)
             .ok_or_else(|| CliError(format!("flag --{key} needs a value")))?;
-        flags.insert(key.to_string(), value.clone());
+        if flags.insert(key.to_string(), value.clone()).is_some() {
+            return Err(CliError(format!("flag --{key} given twice")));
+        }
         i += 2;
     }
+    only_flags(cmd, flags.keys(), accepted)?;
     Ok(flags)
 }
 
@@ -96,6 +114,8 @@ fn required<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str
 
 fn cmd_run(flags: &HashMap<String, String>) -> Result<(), CliError> {
     if let Some(path) = flags.get("scenario") {
+        // The spec file describes the whole workload.
+        only_flags("run --scenario", flags.keys(), &["scenario"])?;
         return cmd_run_scenario(path);
     }
     let graph = parse_graph(required(flags, "graph")?)?;
@@ -105,8 +125,14 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), CliError> {
         s.parse()
             .map_err(|_| CliError(format!("invalid seed {s:?}")))
     })?;
+    let algo = required(flags, "algo")?;
+    if flags.contains_key("delays") && parse_algo(algo)?.is_sync() {
+        return Err(CliError(format!(
+            "wakeup run --algo {algo} does not take --delays (the synchronous model has none)"
+        )));
+    }
     let delays = parse_delays(flags.get("delays").map_or("unit", String::as_str))?;
-    let summary = execute(required(flags, "algo")?, graph, &schedule, seed, &delays)?;
+    let summary = execute(algo, graph, &schedule, seed, &delays)?;
     print!("{summary}");
     Ok(())
 }
@@ -174,10 +200,12 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<(), CliError> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("run") => parse_flags(&args[1..]).and_then(|f| cmd_run(&f)),
-        Some("sweep") => parse_flags(&args[1..]).and_then(|f| cmd_sweep(&f)),
-        Some("trials") => parse_flags(&args[1..]).and_then(|f| cmd_trials(&f)),
-        Some("info") => parse_flags(&args[1..]).and_then(|f| cmd_info(&f)),
+        Some("run") => parse_flags("run", &args[1..], RUN_FLAGS).and_then(|f| cmd_run(&f)),
+        Some("sweep") => parse_flags("sweep", &args[1..], SWEEP_FLAGS).and_then(|f| cmd_sweep(&f)),
+        Some("trials") => {
+            parse_flags("trials", &args[1..], TRIALS_FLAGS).and_then(|f| cmd_trials(&f))
+        }
+        Some("info") => parse_flags("info", &args[1..], INFO_FLAGS).and_then(|f| cmd_info(&f)),
         Some("bake") => {
             // `--verify`/`--stats` are valueless; extract them before the
             // `--key value` pair parser sees the rest.
@@ -185,9 +213,9 @@ fn main() -> ExitCode {
             let verify = rest.iter().any(|a| a == "--verify");
             let stats = rest.iter().any(|a| a == "--stats");
             rest.retain(|a| a != "--verify" && a != "--stats");
-            parse_flags(&rest).and_then(|f| cmd_bake(&f, verify, stats))
+            parse_flags("bake", &rest, BAKE_FLAGS).and_then(|f| cmd_bake(&f, verify, stats))
         }
-        Some("fuzz") => parse_flags(&args[1..]).and_then(|f| cmd_fuzz(&f)),
+        Some("fuzz") => parse_flags("fuzz", &args[1..], FUZZ_FLAGS).and_then(|f| cmd_fuzz(&f)),
         // `obs` takes positional file paths; it parses its own args.
         Some("obs") => cmd_obs(&args[1..]),
         Some("help") | None => {
@@ -204,5 +232,73 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn flags(cmd: &str, line: &str, accepted: &[&str]) -> Result<HashMap<String, String>, String> {
+        parse_flags(cmd, &args(line), accepted).map_err(|e| e.0)
+    }
+
+    #[test]
+    fn unknown_and_ignored_flags_are_errors_naming_the_flag() {
+        let trials = "--algo flooding --graph gnp:64:0.125:3 --wake single:0 --count 2";
+        assert!(flags("trials", trials, TRIALS_FLAGS).is_ok());
+        // `trials` runs under unit delays: `--delays` would be ignored.
+        for (extra, flag) in [("--bogus 1", "--bogus"), ("--delays random:5", "--delays")] {
+            let e = flags("trials", &format!("{trials} {extra}"), TRIALS_FLAGS).unwrap_err();
+            assert!(
+                e.starts_with(&format!(
+                    "wakeup trials does not take {flag} (it takes --algo"
+                )),
+                "{e}"
+            );
+        }
+        let e = flags("sweep", "--algo flooding --wake all", SWEEP_FLAGS).unwrap_err();
+        assert!(e.contains("does not take --wake"), "{e}");
+        let e = flags("info", "--graph path:3 --seed 1", INFO_FLAGS).unwrap_err();
+        assert!(e.contains("does not take --seed"), "{e}");
+        let e = flags("fuzz", "--count 1 --out 2", FUZZ_FLAGS).unwrap_err();
+        assert!(e.contains("does not take --out"), "{e}");
+        let e = flags("run", "--seed 1 --seed 2", RUN_FLAGS).unwrap_err();
+        assert_eq!(e, "flag --seed given twice");
+    }
+
+    #[test]
+    fn run_scenario_takes_no_workload_flags() {
+        let f = flags("run", "--scenario f --algo x", RUN_FLAGS).unwrap();
+        let e = cmd_run(&f).unwrap_err().0;
+        assert_eq!(
+            e,
+            "wakeup run --scenario does not take --algo (it takes --scenario)"
+        );
+    }
+
+    #[test]
+    fn sync_algorithms_take_no_delays() {
+        let line = "--algo fast-wakeup --graph path:4 --wake single:0 --delays unit";
+        let e = cmd_run(&flags("run", line, RUN_FLAGS).unwrap())
+            .unwrap_err()
+            .0;
+        assert!(e.contains("does not take --delays"), "{e}");
+        let line = "--algo flooding --graph path:4 --wake single:0 --delays random:5";
+        assert!(cmd_run(&flags("run", line, RUN_FLAGS).unwrap()).is_ok());
+    }
+
+    #[test]
+    fn bake_scenario_takes_no_size_seed_or_stats_flags() {
+        let f = flags("bake", "--dir d --scenario f --n 5", BAKE_FLAGS).unwrap();
+        let e = cmd_bake(&f, false, false).unwrap_err().0;
+        assert!(e.contains("bake --scenario does not take --n"), "{e}");
+        let f = flags("bake", "--dir d --scenario f", BAKE_FLAGS).unwrap();
+        let e = cmd_bake(&f, false, true).unwrap_err().0;
+        assert!(e.contains("does not take --stats"), "{e}");
     }
 }

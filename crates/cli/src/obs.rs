@@ -36,6 +36,7 @@ pub fn cmd_obs(args: &[String]) -> Result<(), CliError> {
     let (paths, flags) = split_args(rest)?;
     match sub.as_str() {
         "inspect" => {
+            crate::only_flags("obs inspect", flags.keys(), &[])?;
             let [path] = paths.as_slice() else {
                 return Err(err("usage: wakeup obs inspect <FILE>"));
             };
@@ -43,6 +44,7 @@ pub fn cmd_obs(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "diff" => {
+            crate::only_flags("obs diff", flags.keys(), &["tolerance"])?;
             let [a, b] = paths.as_slice() else {
                 return Err(err(
                     "usage: wakeup obs diff <A> <B> [--tolerance PATH,PATH]",
@@ -63,6 +65,7 @@ pub fn cmd_obs(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "timeline" => {
+            crate::only_flags("obs timeline", flags.keys(), &["format"])?;
             let [path] = paths.as_slice() else {
                 return Err(err(
                     "usage: wakeup obs timeline <FILE> [--format csv|jsonl]",
@@ -297,7 +300,8 @@ fn render_inspect(snapshots: &[Labeled]) -> String {
             };
             out.push_str(&format!(
                 "  runtime (diag): shards {} of {} requested{} | wheel max scan {} | \
-                 arena high water {} | prefetch batches {} | stall rounds {} | relabeled {}\n",
+                 arena high water {} | prefetch batches {} | stall rounds {} | relabeled {} | \
+                 run buffers {}\n",
                 unum(r.get("shards")),
                 unum(r.get("shards_requested")),
                 fallback,
@@ -306,6 +310,10 @@ fn render_inspect(snapshots: &[Labeled]) -> String {
                 unum(r.get("prefetch_batches")),
                 unum(r.get("stall_rounds")),
                 matches!(r.get("relabel_applied"), Some(Value::Bool(true))),
+                match r.get("run_buffers") {
+                    Some(Value::Str(origin)) => origin.as_str(),
+                    _ => "?",
+                },
             ));
         }
     }
@@ -598,6 +606,35 @@ mod tests {
         }];
         let text = render_inspect(&snaps);
         assert!(text.contains("runtime (diag): shards 1 of 4 requested (audit) |"));
+    }
+
+    #[test]
+    fn subcommands_reject_flags_they_do_not_take() {
+        let args =
+            |line: &str| -> Vec<String> { line.split_whitespace().map(String::from).collect() };
+        for (line, flag) in [
+            ("inspect a.json --format csv", "--format"),
+            ("diff a.json b.json --format csv", "--format"),
+            ("timeline a.json --tolerance runtime", "--tolerance"),
+        ] {
+            let e = cmd_obs(&args(line)).unwrap_err().0;
+            assert!(e.contains(&format!("does not take {flag}")), "{line}: {e}");
+        }
+    }
+
+    #[test]
+    fn inspect_prints_the_run_storage_decision() {
+        let snaps = vec![Labeled {
+            label: "second run".to_string(),
+            snapshot: parse(
+                r#"{"schema":4,"events":5,"runtime":{"shards":1,"shard_events":[5],
+                    "shard_sends":[4],"wheel_max_scan":1024,"arena_high_water":3,
+                    "prefetch_batches":4,"stall_rounds":0,"relabel_applied":false,
+                    "run_buffers":"reused","shards_requested":1,"shard_fallback":null}}"#,
+            ),
+        }];
+        let text = render_inspect(&snaps);
+        assert!(text.contains("| relabeled false | run buffers reused\n"));
     }
 
     #[test]

@@ -12,10 +12,14 @@
 //! deg(v) − 1 clones instead of deg(v).
 //!
 //! Slots are recycled through a free list, so steady-state traffic allocates
-//! nothing; [`PayloadArena::clear`] drops all payloads while keeping slot
-//! capacity, which is what the engines' `reset()` paths rely on to reuse one
-//! arena across trials. Every slot carries a generation counter and refs
-//! are validated against it, catching use-after-free of a recycled slot.
+//! nothing. The arena holds values of the protocol's message type, so it
+//! stays in the engine rather than in the run storage the network keeps
+//! for every engine ([`crate::shard::RunBuffers`]): [`PayloadArena::clear`]
+//! drops all payloads while keeping slot capacity, which lets an engine's
+//! `reset` + `run_mut` loop reuse one arena across trials, and a fresh
+//! engine starts a fresh arena. Every slot carries a generation counter and
+//! refs are validated against it, catching use-after-free of a recycled
+//! slot.
 
 /// Handle to a payload stored in a [`PayloadArena`].
 ///

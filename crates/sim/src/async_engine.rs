@@ -43,6 +43,13 @@
 //! array while listing first-time receivers, sort that list, turn the
 //! counts into offsets, and scatter. Each receiver's batch is then one
 //! contiguous slice; no per-receiver list is allocated or kept.
+//!
+//! The wheel, the grouping's buffers and the outbox handles hold no
+//! payloads, so they are the network's
+//! [`RunBuffers`](crate::shard::RunBuffers), lent to each run and kept
+//! between runs. The engine keeps the message-typed arena and batch
+//! buffers and the per-channel arrays, which it sizes and zeroes at each
+//! run start.
 
 use std::sync::Arc;
 
@@ -129,7 +136,9 @@ const WHEEL_WORDS: usize = WHEEL_SIZE / 64;
 
 /// Bucketed timer wheel over the delivery horizon, with a word-packed
 /// occupancy bitmap for skipping empty ticks. Payloads live in the engine's
-/// [`PayloadArena`]; the wheel holds only handles.
+/// [`PayloadArena`]; the wheel holds only handles, so it is part of the
+/// network's [`RunBuffers`](crate::shard::RunBuffers) and keeps its slot
+/// capacity from run to run.
 struct TimerWheel {
     buckets: Vec<Vec<DeliverEntry>>,
     occupied: [u64; WHEEL_WORDS],
@@ -139,8 +148,8 @@ struct TimerWheel {
     spare: Vec<DeliverEntry>,
 }
 
-impl TimerWheel {
-    fn new() -> TimerWheel {
+impl Default for TimerWheel {
+    fn default() -> TimerWheel {
         TimerWheel {
             buckets: (0..WHEEL_SIZE).map(|_| Vec::new()).collect(),
             occupied: [0; WHEEL_WORDS],
@@ -148,7 +157,9 @@ impl TimerWheel {
             spare: Vec::new(),
         }
     }
+}
 
+impl TimerWheel {
     /// Schedules `entry` for `deliver`, which must lie in the horizon
     /// `(now, now + τ]` — the FIFO-clamp induction guarantees it, and the
     /// assert keeps the wheel honest against future delay strategies.
@@ -195,8 +206,8 @@ impl TimerWheel {
     }
 
     /// Empties the wheel (any undelivered entries left by a truncated run
-    /// are dropped; their payloads die with the arena's `clear`) while
-    /// keeping bucket capacity for reuse.
+    /// are dropped; their payloads died with that run's arena, or with its
+    /// `clear`) while keeping bucket capacity for reuse.
     fn clear(&mut self) {
         if self.len > 0 {
             for b in &mut self.buckets {
@@ -310,10 +321,10 @@ pub struct AsyncEngine<'n, P: AsyncProtocol> {
     scratch: AsyncScratch<P::Msg>,
 }
 
-/// Run-to-run reusable buffers: the flat per-channel arrays and one
-/// [`ShardScratch`] per worker. Kept in the engine so
-/// [`AsyncEngine::reset`]-then-[`AsyncEngine::run_mut`] trial loops recycle
-/// every steady-state allocation.
+/// The engine's own run buffers: the flat per-channel arrays, sized exactly
+/// and zeroed at each run start, and one [`ShardScratch`] per worker.
+/// Everything a run grows that does not depend on the message type lives
+/// in the network's [`RunBuffers`](crate::shard::RunBuffers) instead.
 struct AsyncScratch<M> {
     channel_next: Vec<u64>,
     channel_seq: Vec<u64>,
@@ -321,20 +332,10 @@ struct AsyncScratch<M> {
     shards: Vec<ShardScratch<M>>,
 }
 
-/// One worker's run-to-run reusable buffers: the wheel, the payload arena,
-/// the delivery grouping's per-node counts and receiver list, and the
-/// outbox/batch buffers lent to handlers, plus the stage buffers the
-/// exchange uses at `k > 1`.
+/// One worker's message-typed buffers: the payload arena, the batch buffer
+/// lent to handlers, and the stage buffers the exchange uses at `k > 1`.
 struct ShardScratch<M> {
-    wheel: TimerWheel,
     arena: PayloadArena<M>,
-    /// Per owned node: the delivery grouping's count, then offset, of the
-    /// node's entries in the current tick (see [`group_by_receiver`]);
-    /// all zero between ticks.
-    counts: Vec<u32>,
-    /// The current tick's receivers, ascending.
-    touched: Vec<u32>,
-    entries_buf: Vec<(Port, PayloadRef)>,
     batch_buf: Vec<(Incoming, M)>,
     /// Staged outbound messages, one buffer per `(destination shard, phase)`.
     stage: Vec<Vec<CrossMsg<M>>>,
@@ -343,15 +344,27 @@ struct ShardScratch<M> {
 impl<M> ShardScratch<M> {
     fn new(k: usize) -> ShardScratch<M> {
         ShardScratch {
-            wheel: TimerWheel::new(),
             arena: PayloadArena::default(),
-            counts: Vec::new(),
-            touched: Vec::new(),
-            entries_buf: Vec::new(),
             batch_buf: Vec::new(),
             stage: (0..k * crate::shard::PHASES).map(|_| Vec::new()).collect(),
         }
     }
+}
+
+/// One async worker's share of the network's
+/// [`RunBuffers`](crate::shard::RunBuffers): the wheel (with the spare
+/// storage the grouping scatters into), the grouping's per-node counts and
+/// receiver list, and the outbox handles lent to handlers.
+#[derive(Default)]
+pub(crate) struct AsyncBuffers {
+    wheel: TimerWheel,
+    /// Per owned node: the delivery grouping's count, then offset, of the
+    /// node's entries in the current tick (see [`group_by_receiver`]);
+    /// all zero between ticks.
+    counts: Vec<u32>,
+    /// The current tick's receivers, ascending.
+    touched: Vec<u32>,
+    entries_buf: Vec<(Port, PayloadRef)>,
 }
 
 /// A message staged for a window boundary crossing between shards.
@@ -432,8 +445,10 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
     }
 
     /// Re-derives every node's state for a fresh trial under a new master
-    /// seed, keeping the engine's allocations (tables, wheel, arena, channel
+    /// seed, keeping the engine's allocations (tables, arena, channel
     /// arrays, and — via [`AsyncProtocol::reinit`] — per-node containers).
+    /// The wheel and the grouping buffers are kept by the network for every
+    /// run on it.
     pub fn reset(&mut self, seed: u64) {
         self.config.seed = seed;
         let protocols = &mut self.protocols;
@@ -506,6 +521,8 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
         if self.scratch.shards.len() != k {
             self.scratch.shards = (0..k).map(|_| ShardScratch::new(k)).collect();
         }
+        let (mut bufs, reused) = net.run_buffers.take();
+        bufs.async_workers.resize_with(k, AsyncBuffers::default);
         // Sized and zeroed here, once per run (a fresh engine allocates
         // them empty).
         for channel in [
@@ -530,16 +547,20 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
             .scratch
             .shards
             .iter_mut()
+            .zip(&mut bufs.async_workers)
             .zip(arrays.split(&mut self.protocols, &plan.shards))
             .zip(plan.wakes(schedule, 1))
             .zip(channels);
         let mut workers: Vec<AsyncShard<'_, P>> = Vec::with_capacity(k);
-        for (s, (((sc, nodes), wakes), (channel_next, channel_seq))) in per_shard.enumerate() {
+        for (s, ((((sc, bufs), nodes), wakes), (channel_next, channel_seq))) in
+            per_shard.enumerate()
+        {
             let (lo, hi) = plan.shards.range(s);
-            sc.wheel.clear();
             sc.arena.clear();
-            sc.counts.clear();
-            sc.counts.resize(hi - lo, 0);
+            // A truncated run leaves entries in the wheel it hands back.
+            bufs.wheel.clear();
+            bufs.counts.clear();
+            bufs.counts.resize(hi - lo, 0);
             workers.push(AsyncShard {
                 me: s,
                 lo,
@@ -557,6 +578,7 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
                 send_run: crate::obs::PairRun::new(),
                 batch_run: crate::obs::ValueRun::new(),
                 sc,
+                bufs,
                 wakes,
                 cursor: 0,
                 fork: None,
@@ -611,9 +633,12 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
                 })
             });
         }
-        // Consume the workers first: that ends their borrows of `arrays`.
+        // Consume the workers first: that ends their borrows of `arrays`
+        // and of the run buffers.
         let outs = workers.into_iter().map(AsyncShard::into_out).collect();
-        let report = plan.report(arrays, outs, tally, config.obs, config.track_ports);
+        net.run_buffers.put(bufs);
+        let mut report = plan.report(arrays, outs, tally, config.obs, config.track_ports);
+        report.obs.runtime.run_buffers_reused = reused;
         if let Some(rel) = rel {
             rel.permute_to_orig(&mut self.protocols);
         }
@@ -654,6 +679,7 @@ struct AsyncShard<'e, P: AsyncProtocol> {
     send_run: crate::obs::PairRun,
     batch_run: crate::obs::ValueRun,
     sc: &'e mut ShardScratch<P::Msg>,
+    bufs: &'e mut AsyncBuffers,
     /// This shard's schedule wakes, `(tick, id)`-sorted (run ids when
     /// relabeled — the shard ranges partition run-id space).
     wakes: Vec<(u64, NodeId)>,
@@ -683,7 +709,7 @@ impl<P: AsyncProtocol> crate::shard::Worker for AsyncShard<'_, P> {
     fn progress(&mut self) -> AsyncProgress {
         let next_wake = self.wakes.get(self.cursor).map_or(u64::MAX, |&(t, _)| t);
         let wheel_next = self
-            .sc
+            .bufs
             .wheel
             .next_occupied_after(self.prev_tick)
             .unwrap_or(u64::MAX);
@@ -713,7 +739,7 @@ impl<P: AsyncProtocol> crate::shard::Worker for AsyncShard<'_, P> {
                 rport: m.rport,
                 msg: m.payload.into_ref(&mut self.sc.arena),
             };
-            self.sc.wheel.push(self.prev_tick, m.deliver, entry);
+            self.bufs.wheel.push(self.prev_tick, m.deliver, entry);
         }
     }
 
@@ -763,14 +789,14 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             }
         }
         self.phase = 1;
-        let (bucket, mut grouped) = self.sc.wheel.take_bucket(now);
+        let (bucket, mut grouped) = self.bufs.wheel.take_bucket(now);
         let delivered = bucket.len() as u64;
         self.new_events += delivered;
-        let mut touched = std::mem::take(&mut self.sc.touched);
+        let mut touched = std::mem::take(&mut self.bufs.touched);
         group_by_receiver(
             &bucket,
             self.lo,
-            &mut self.sc.counts,
+            &mut self.bufs.counts,
             &mut touched,
             &mut grouped,
         );
@@ -788,7 +814,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             if let Some(&nx) = touched.get(i + 1) {
                 crate::prefetch::prefetch_index(self.nodes.protocols, nx as usize - self.lo);
             }
-            let end = std::mem::take(&mut self.sc.counts[to as usize - self.lo]) as usize;
+            let end = std::mem::take(&mut self.bufs.counts[to as usize - self.lo]) as usize;
             let batch = &mut grouped[start..end];
             start = end;
             if relabeled && batch.len() > 1 {
@@ -803,8 +829,8 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
         }
         self.batch_run = batch_run;
         touched.clear();
-        self.sc.touched = touched;
-        self.sc.wheel.restore_bucket(now, bucket, grouped);
+        self.bufs.touched = touched;
+        self.bufs.wheel.restore_bucket(now, bucket, grouped);
         self.prev_tick = now;
         let (sends, bits) = (self.obs.sends - sends0, self.sm.bits_sent - bits0);
         self.obs.tl_traffic(now, delivered, sends, bits);
@@ -836,7 +862,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
                 .phases
                 .set_handler(tick, self.phase, ov.index() as u32);
         }
-        let mut entries = std::mem::take(&mut self.sc.entries_buf);
+        let mut entries = std::mem::take(&mut self.bufs.entries_buf);
         let mut ctx = Context::new(
             ov,
             self.net.graph().degree(ov),
@@ -856,7 +882,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             self.obs.stamp_new_spans(tick, self.phase, v.index() as u32);
         }
         self.dispatch_outbox(&mut entries, v, tick, delays);
-        self.sc.entries_buf = entries;
+        self.bufs.entries_buf = entries;
     }
 
     /// Delivers one receiver's entries of the tick, in send order: metrics
@@ -920,7 +946,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
                 .phases
                 .set_handler(tick, self.phase, ot.index() as u32);
         }
-        let mut out_entries = std::mem::take(&mut self.sc.entries_buf);
+        let mut out_entries = std::mem::take(&mut self.bufs.entries_buf);
         let mut ctx = Context::new(
             ot,
             self.net.graph().degree(ot),
@@ -942,7 +968,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
                 .stamp_new_spans(tick, self.phase, to.index() as u32);
         }
         self.dispatch_outbox(&mut out_entries, to, tick, delays);
-        self.sc.entries_buf = out_entries;
+        self.bufs.entries_buf = out_entries;
         self.sc.batch_buf = batch;
     }
 
@@ -1030,7 +1056,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
                     rport: hot.rport,
                     msg: r,
                 };
-                self.sc.wheel.push(tick, deliver, entry);
+                self.bufs.wheel.push(tick, deliver, entry);
                 continue;
             }
             let dst = self.plan.shard_of(to);

@@ -13,7 +13,10 @@ use crate::knowledge::{IdAssignment, KnowledgeMode, Port, PortAssignment};
 /// port mappings, under a fixed knowledge mode.
 ///
 /// Everything here is decided *before* the execution starts (the paper's
-/// oblivious adversary): the engines never mutate a `Network`.
+/// oblivious adversary): the engines never change a `Network`'s choices.
+/// Besides the lazily derived tables, the one thing runs leave behind is
+/// their grown storage (timer-wheel slots, grouping and outbox buffers),
+/// which the network keeps for the next run.
 #[derive(Debug, Clone)]
 pub struct Network {
     graph: Graph,
@@ -34,6 +37,10 @@ pub struct Network {
     /// size heuristic. Shared by clones, like the lazy cells above — the
     /// run space is a pure function of the network plus this opt-in.
     relabel_forced: Arc<std::sync::atomic::AtomicBool>,
+    /// The storage runs on this network grow (wheel slots, grouping and
+    /// outbox buffers): each run takes it at start and puts it back at end.
+    /// Unlike the cells above, a clone starts with an empty slot.
+    pub(crate) run_buffers: crate::shard::RunBuffersSlot,
 }
 
 impl Network {
@@ -52,6 +59,7 @@ impl Network {
             tables: OnceLock::new(),
             run_space: OnceLock::new(),
             relabel_forced: Arc::default(),
+            run_buffers: Default::default(),
         }
     }
 
@@ -71,6 +79,7 @@ impl Network {
             tables: OnceLock::new(),
             run_space: OnceLock::new(),
             relabel_forced: Arc::default(),
+            run_buffers: Default::default(),
         }
     }
 
@@ -90,6 +99,7 @@ impl Network {
             tables: OnceLock::new(),
             run_space: OnceLock::new(),
             relabel_forced: Arc::default(),
+            run_buffers: Default::default(),
         }
     }
 

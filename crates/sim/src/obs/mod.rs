@@ -451,7 +451,8 @@ pub struct CriticalPath {
 
 /// Machine- and configuration-dependent engine internals recorded alongside
 /// a run: shard progress/imbalance, timer-wheel scan depth, payload-arena
-/// high-water, prefetch batching, and relabel usage.
+/// high-water, prefetch batching, relabel usage, and whether the run's
+/// grown storage was kept from an earlier run.
 ///
 /// These are *diagnostics*, deliberately excluded from the deterministic
 /// schema-4 [`ObsSnapshot::to_json`]/[`ObsSnapshot::to_prometheus`]
@@ -486,6 +487,11 @@ pub struct RuntimeCounters {
     /// Why the run used fewer shards than requested (`None` when it used
     /// as many as requested).
     pub shard_fallback: Option<crate::shard::ShardFallback>,
+    /// Whether the run started from the storage an earlier run on the same
+    /// network kept (timer-wheel slots, grouping and outbox buffers), rather
+    /// than growing its own: `false` for a network's first run, for runs
+    /// on a clone, and for a run that overlaps another on the same network.
+    pub run_buffers_reused: bool,
 }
 
 /// Per-run observability data carried by every [`crate::RunReport`].

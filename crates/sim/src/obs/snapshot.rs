@@ -344,8 +344,8 @@ impl ObsSnapshot {
         s.push_str(&format!(
             ",\"runtime\":{{\"shards\":{},\"shard_events\":{},\"shard_sends\":{},\
              \"wheel_max_scan\":{},\"arena_high_water\":{},\"prefetch_batches\":{},\
-             \"stall_rounds\":{},\"relabel_applied\":{},\"shards_requested\":{},\
-             \"shard_fallback\":{}}}}}",
+             \"stall_rounds\":{},\"relabel_applied\":{},\"run_buffers\":\"{}\",\
+             \"shards_requested\":{},\"shard_fallback\":{}}}}}",
             r.shards,
             u64_array(&r.shard_events),
             u64_array(&r.shard_sends),
@@ -354,6 +354,11 @@ impl ObsSnapshot {
             r.prefetch_batches,
             r.stall_rounds,
             r.relabel_applied,
+            if r.run_buffers_reused {
+                "reused"
+            } else {
+                "fresh"
+            },
             r.shards_requested,
             r.shard_fallback
                 .map_or("null".to_string(), |f| format!("\"{}\"", f.as_str())),
@@ -666,6 +671,11 @@ mod tests {
         r.obs.runtime.shard_fallback = Some(crate::shard::ShardFallback::Audit);
         let diag = ObsSnapshot::of(&r).to_json_diag();
         assert!(diag.ends_with("\"shards_requested\":8,\"shard_fallback\":\"audit\"}}"));
+        assert!(diag.contains("\"relabel_applied\":false,\"run_buffers\":\"fresh\","));
+        r.obs.runtime.run_buffers_reused = true;
+        let diag = ObsSnapshot::of(&r).to_json_diag();
+        assert!(diag.contains("\"run_buffers\":\"reused\","));
+        assert!(!ObsSnapshot::of(&r).to_json().contains("run_buffers"));
     }
 
     #[test]

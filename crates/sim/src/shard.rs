@@ -126,6 +126,78 @@ impl ShardPlan {
     }
 }
 
+/// The storage a run *grows*, per worker: the async wheel's slots and
+/// spare grouping buffer, the grouping's counts and receiver list, the sync
+/// in-flight queue and wake lists, and the outbox handles lent to handlers.
+/// None of it depends on the protocol's message type, so one value serves
+/// every engine over a network: the [`crate::Network`] keeps it in a
+/// [`RunBuffersSlot`], each run takes it at start and puts it back at end,
+/// and the next engine starts from that capacity instead of growing the
+/// storage again (and faulting it back in after the allocator returned it
+/// to the OS).
+///
+/// Arrays sized exactly at run start and zeroed every run are not kept
+/// here: the channel arrays and sync wake flags stay in the engine (a
+/// fresh engine allocates them once, a `reset` loop re-zeroes them), and
+/// [`RunArrays`] moves into each run's report. Keeping the channel arrays
+/// on the network would hold large blocks across engines, which the
+/// allocator's dynamic thresholds otherwise account for.
+#[derive(Default)]
+pub(crate) struct RunBuffers {
+    /// One per async worker; grown or cut to the run's shard count.
+    pub(crate) async_workers: Vec<crate::async_engine::AsyncBuffers>,
+    /// One per sync worker; grown or cut to the run's shard count.
+    pub(crate) sync_workers: Vec<crate::sync_engine::SyncBuffers>,
+}
+
+/// A network's kept [`RunBuffers`]: empty until a run puts its buffers
+/// back. A run that finds it empty (the network's first run, or one that
+/// overlaps another run on the same network) starts from
+/// [`RunBuffers::default`]. A clone starts empty, so two network values
+/// never share storage.
+#[derive(Default)]
+pub(crate) struct RunBuffersSlot(Mutex<Option<RunBuffers>>);
+
+impl RunBuffersSlot {
+    /// Takes the kept buffers, or default ones when the slot is empty (no
+    /// run has finished yet, or another run holds them), and whether they
+    /// were kept ones (reported as
+    /// [`crate::RuntimeCounters::run_buffers_reused`]).
+    pub(crate) fn take(&self) -> (RunBuffers, bool) {
+        let kept = self.lock().take();
+        let reused = kept.is_some();
+        (kept.unwrap_or_default(), reused)
+    }
+
+    /// Keeps `bufs` for the next run, dropping whatever another run put
+    /// back in the meantime.
+    pub(crate) fn put(&self, bufs: RunBuffers) {
+        let replaced = self.lock().replace(bufs);
+        // Freed outside the lock.
+        drop(replaced);
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<RunBuffers>> {
+        // Nothing panics while the lock is held; a poisoned lock still
+        // guards a whole value.
+        self.0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+impl Clone for RunBuffersSlot {
+    fn clone(&self) -> RunBuffersSlot {
+        RunBuffersSlot::default()
+    }
+}
+
+impl std::fmt::Debug for RunBuffersSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("RunBuffersSlot")
+    }
+}
+
 /// A message queued for delivery to one of a worker's nodes: a small
 /// `Copy` struct, payload behind a handle into the worker's arena.
 #[derive(Clone, Copy, Debug)]

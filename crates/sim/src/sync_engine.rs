@@ -94,9 +94,11 @@ pub struct SyncEngine<'n, P: SyncProtocol> {
     scratch: SyncScratch<P::Msg>,
 }
 
-/// Run-to-run reusable buffers: receiver inboxes and the wake-dedup
+/// The engine's own run buffers: the receiver inboxes and the wake-dedup
 /// flags (per node, split across shards each run), and one
-/// [`SyncShardScratch`] per worker.
+/// [`SyncShardScratch`] per worker. Everything a run grows that does not
+/// depend on the message type lives in the network's
+/// [`RunBuffers`](crate::shard::RunBuffers) instead.
 struct SyncScratch<M> {
     /// Per node: this round's delivered messages, already materialized
     /// (capacity persists across rounds and runs).
@@ -106,18 +108,11 @@ struct SyncScratch<M> {
     shards: Vec<SyncShardScratch<M>>,
 }
 
-/// One worker's run-to-run reusable buffers.
+/// One worker's message-typed buffers.
 struct SyncShardScratch<M> {
     /// Payloads of queued and in-flight messages; entries everywhere else
     /// are small [`PayloadRef`] handles into this arena.
     arena: PayloadArena<M>,
-    /// Messages pending delivery to this shard's inboxes next round. A lone
-    /// worker's sends go straight in; at `k > 1` the exchange collects them
-    /// at the round boundary.
-    inflight: Vec<DeliverEntry>,
-    touched: Vec<usize>,
-    newly_awake: Vec<(NodeId, WakeCause)>,
-    entries_buf: Vec<(Port, PayloadRef)>,
     /// Staged outbound messages, one buffer per `(destination shard, phase)`.
     stage: Vec<Vec<SyncCross<M>>>,
 }
@@ -126,13 +121,24 @@ impl<M> SyncShardScratch<M> {
     fn new(k: usize) -> SyncShardScratch<M> {
         SyncShardScratch {
             arena: PayloadArena::default(),
-            inflight: Vec::new(),
-            touched: Vec::new(),
-            newly_awake: Vec::new(),
-            entries_buf: Vec::new(),
             stage: (0..k * crate::shard::PHASES).map(|_| Vec::new()).collect(),
         }
     }
+}
+
+/// One sync worker's share of the network's
+/// [`RunBuffers`](crate::shard::RunBuffers): the in-flight queue, the
+/// round's receiver and wake lists, and the outbox handles lent to
+/// handlers.
+#[derive(Default)]
+pub(crate) struct SyncBuffers {
+    /// Messages pending delivery to this shard's inboxes next round. A lone
+    /// worker's sends go straight in; at `k > 1` the exchange collects them
+    /// at the round boundary.
+    inflight: Vec<DeliverEntry>,
+    touched: Vec<usize>,
+    newly_awake: Vec<(NodeId, WakeCause)>,
+    entries_buf: Vec<(Port, PayloadRef)>,
 }
 
 /// A message staged for next-round delivery across the window boundary.
@@ -213,8 +219,9 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
     }
 
     /// Re-derives every node's state for a fresh trial under a new master
-    /// seed, keeping the engine's allocations (tables, round buffers, and —
-    /// via [`SyncProtocol::reinit`] — per-node containers).
+    /// seed, keeping the engine's allocations (tables, inboxes, wake flags,
+    /// arena, and — via [`SyncProtocol::reinit`] — per-node containers).
+    /// The round queues are kept by the network for every run on it.
     pub fn reset(&mut self, seed: u64) {
         self.config.seed = seed;
         let protocols = &mut self.protocols;
@@ -262,6 +269,8 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
         if self.scratch.shards.len() != k {
             self.scratch.shards = (0..k).map(|_| SyncShardScratch::new(k)).collect();
         }
+        let (mut bufs, reused) = net.run_buffers.take();
+        bufs.sync_workers.resize_with(k, SyncBuffers::default);
         if let Some(rel) = rel {
             rel.permute_to_run(&mut self.protocols);
         }
@@ -273,17 +282,18 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
             .scratch
             .shards
             .iter_mut()
+            .zip(&mut bufs.sync_workers)
             .zip(arrays.split(&mut self.protocols, &plan.shards))
             .zip(plan.wakes(schedule, TICKS_PER_UNIT))
             .zip(rows);
         let mut workers: Vec<SyncShard<'_, P>> = Vec::with_capacity(k);
-        for (s, (((sc, nodes), wakes), (wake_queued, inboxes))) in per_shard.enumerate() {
+        for (s, ((((sc, bufs), nodes), wakes), (wake_queued, inboxes))) in per_shard.enumerate() {
             let (lo, hi) = plan.shards.range(s);
             // A truncated previous run may have left residue.
             sc.arena.clear();
-            sc.inflight.clear();
-            sc.touched.clear();
-            sc.newly_awake.clear();
+            bufs.inflight.clear();
+            bufs.touched.clear();
+            bufs.newly_awake.clear();
             wake_queued.fill(false);
             inboxes.iter_mut().for_each(Vec::clear);
             let edge_base = plan.tables.edge_offset[lo];
@@ -303,6 +313,7 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
                 obs: crate::obs::ShardObs::new(hi - lo, config.obs, config.obs_windows),
                 audit: audit.take(),
                 sc,
+                bufs,
                 wakes,
                 cursor: 0,
                 rel,
@@ -355,9 +366,12 @@ impl<'n, P: SyncProtocol> SyncEngine<'n, P> {
             });
         }
         tally.events = workers.iter().map(|w| w.events).sum();
-        // Consume the workers first: that ends their borrows of `arrays`.
+        // Consume the workers first: that ends their borrows of `arrays`
+        // and of the run buffers.
         let outs = workers.into_iter().map(SyncShard::into_out).collect();
-        let report = plan.report(arrays, outs, tally, config.obs, config.track_ports);
+        net.run_buffers.put(bufs);
+        let mut report = plan.report(arrays, outs, tally, config.obs, config.track_ports);
+        report.obs.runtime.run_buffers_reused = reused;
         if let Some(rel) = rel {
             rel.permute_to_orig(&mut self.protocols);
         }
@@ -389,6 +403,7 @@ struct SyncShard<'e, P: SyncProtocol> {
     obs: crate::obs::ShardObs,
     audit: Option<AuditLog>,
     sc: &'e mut SyncShardScratch<P::Msg>,
+    bufs: &'e mut SyncBuffers,
     /// This shard's schedule wakes, `(round, id)`-sorted (run ids when
     /// relabeled — the shard ranges partition run-id space).
     wakes: Vec<(u64, NodeId)>,
@@ -432,7 +447,7 @@ impl<P: SyncProtocol> crate::shard::Worker for SyncShard<'_, P> {
     /// and unaccounted, exactly like a lone worker's in-flight list.
     fn ingest(&mut self, batch: &mut Vec<SyncCross<P::Msg>>) {
         for m in batch.drain(..) {
-            self.sc.inflight.push(DeliverEntry {
+            self.bufs.inflight.push(DeliverEntry {
                 to: m.to,
                 from: m.from,
                 rport: m.rport,
@@ -473,7 +488,7 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
     /// ascending.
     fn process_round(&mut self, round: u64) {
         let tick = round * TICKS_PER_UNIT;
-        let mut inflight = std::mem::take(&mut self.sc.inflight);
+        let mut inflight = std::mem::take(&mut self.bufs.inflight);
         // All deliveries of a round share one tick, so the last-receipt
         // watermark moves once per round, not once per message.
         if !inflight.is_empty() {
@@ -509,7 +524,7 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
                 crate::knowledge::KnowledgeMode::Kt0 => None,
             };
             if self.inboxes[li].is_empty() {
-                self.sc.touched.push(li);
+                self.bufs.touched.push(li);
             }
             if !self.nodes.awake[li] {
                 // Provisional causal predecessor: the round's first delivery
@@ -525,7 +540,7 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
                 self.sc.arena.take(m.msg),
             ));
         }
-        self.sc.inflight = inflight;
+        self.bufs.inflight = inflight;
         // Round-r adversary wakes take precedence over message wakes.
         while self.cursor < self.wakes.len() && self.wakes[self.cursor].0 <= round {
             let v = self.wakes[self.cursor].1;
@@ -533,20 +548,20 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
             let li = v.index() - self.lo;
             if !self.nodes.awake[li] && !self.wake_queued[li] {
                 self.wake_queued[li] = true;
-                self.sc.newly_awake.push((v, WakeCause::Adversary));
+                self.bufs.newly_awake.push((v, WakeCause::Adversary));
             }
         }
         // Message receipt wakes.
-        for &li in &self.sc.touched {
+        for &li in &self.bufs.touched {
             if !self.nodes.awake[li] && !self.wake_queued[li] {
                 self.wake_queued[li] = true;
-                self.sc
+                self.bufs
                     .newly_awake
                     .push((NodeId::new(li + self.lo), WakeCause::Message));
             }
         }
-        self.sc.touched.clear();
-        let mut newly = std::mem::take(&mut self.sc.newly_awake);
+        self.bufs.touched.clear();
+        let mut newly = std::mem::take(&mut self.bufs.newly_awake);
         newly.sort_unstable_by_key(|&(v, _)| v);
         self.events += newly.len() as u64;
         self.obs.tl_wakes(tick, newly.len() as u64);
@@ -572,7 +587,7 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
             self.wake_queued[v.index() - self.lo] = false;
         }
         newly.clear();
-        self.sc.newly_awake = newly;
+        self.bufs.newly_awake = newly;
         // Compute-and-send step for every awake node. The inbox is a
         // draining view over the node's persistent buffer; handler sends go
         // straight into the arena via the context.
@@ -596,7 +611,7 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
             // Sends are logged once the round's handlers have all run, in
             // queue order — the in-flight list holds exactly this round's
             // sends, since recording runs use one shard.
-            for m in &self.sc.inflight {
+            for m in &self.bufs.inflight {
                 let (from, to) = (NodeId::new(m.from as usize), NodeId::new(m.to as usize));
                 log.record_send(tick, from, to, self.sc.arena.bits(m.msg), m.msg);
             }
@@ -628,7 +643,7 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
             self.net.graph().degree(ov),
             self.net.mode(),
             self.tables.id_to_port(v.index()),
-            &mut self.sc.entries_buf,
+            &mut self.bufs.entries_buf,
             &mut self.sc.arena,
             self.config.channel,
             self.config.record_congest_violations,
@@ -648,10 +663,10 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
         }
         // Most step handlers send nothing (every awake node runs each
         // round), so the silent case stays a length check.
-        if !self.sc.entries_buf.is_empty() {
-            let mut entries = std::mem::take(&mut self.sc.entries_buf);
+        if !self.bufs.entries_buf.is_empty() {
+            let mut entries = std::mem::take(&mut self.bufs.entries_buf);
             self.route_outbox(&mut entries, v, phase);
-            self.sc.entries_buf = entries;
+            self.bufs.entries_buf = entries;
         }
     }
 
@@ -686,7 +701,7 @@ impl<P: SyncProtocol> SyncShard<'_, P> {
                 self.sm.ports.set(slot - self.edge_base);
             }
             if inline {
-                self.sc.inflight.push(DeliverEntry {
+                self.bufs.inflight.push(DeliverEntry {
                     to: hot.to,
                     from: key,
                     rport: hot.rport,
