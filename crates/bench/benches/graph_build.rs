@@ -4,7 +4,9 @@
 //! cell):
 //!
 //! * `graph_build`: the graph alone; both generators feed `GraphBuilder`
-//!   their edges in canonical order;
+//!   their edges in canonical order. `sparse/512` (the largest sparse
+//!   Table 1 size) times the per-pair Bernoulli sampler, `sparse/16384`
+//!   the geometric skip sampler;
 //! * `network_build`: `Network::kt0`/`Network::kt1` on a built graph plus
 //!   the first engine construction, which derives the engine tables cold.
 
@@ -35,6 +37,8 @@ fn bench(c: &mut Criterion) {
     };
     let g = build_graph(&sparse);
     eprintln!("graph_build sparse n={}: m={}", g.n(), g.m());
+    let table1_sparse = GraphSpec::Sparse { n: 512, seed: 7 };
+    group.bench_function("sparse/512", |b| b.iter(|| build_graph(&table1_sparse)));
     group.bench_function("sparse/16384", |b| b.iter(|| build_graph(&sparse)));
     group.bench_function("complete/192", |b| {
         b.iter(|| generators::complete(192).expect("complete(192) is valid"))

@@ -25,6 +25,15 @@ fn invalid(reason: impl Into<String>) -> GraphError {
 /// one draw per edge. 1024 keeps every committed small-n artifact
 /// (goldens ≤ 97 nodes, bench sweeps ≤ 512, audit traces at 16) on its
 /// original bit-exact stream.
+///
+/// Each regime runs in its own non-inlined function ([`bernoulli_pairs`],
+/// [`skip_pairs`]). Inlined together under `target-cpu=native`, the
+/// Bernoulli loop spilled the generator state to the stack on every draw:
+/// `erdos_renyi_connected(n, 8/n, 7)` took 0.73 ms at n = 512 and about
+/// 3 ms at n = 1023. Split, with the integer threshold, they take 0.24 ms
+/// and 0.8 ms, against 0.2 ms (n = 1024) and 0.34 ms (n = 2048) on the
+/// skip path, which the split left where it was (fastest of 400 builds,
+/// Intel Xeon, 2 vCPUs).
 const GEOMETRIC_SKIP_MIN_N: usize = 1_024;
 
 /// Erdős–Rényi graph `G(n, p)` with the given seed.
@@ -54,7 +63,7 @@ fn sample_gnp(
     n: usize,
     p: f64,
     seed: u64,
-    mut emit: impl FnMut(usize, usize) -> Result<(), GraphError>,
+    emit: impl FnMut(usize, usize) -> Result<(), GraphError>,
 ) -> Result<(), GraphError> {
     if n == 0 {
         return Err(invalid("G(n,p) requires at least one node"));
@@ -62,44 +71,75 @@ fn sample_gnp(
     if !(0.0..=1.0).contains(&p) {
         return Err(invalid(format!("edge probability {p} outside [0, 1]")));
     }
-    let mut rng = Xoshiro256::seed_from(seed);
+    let rng = Xoshiro256::seed_from(seed);
     if n < GEOMETRIC_SKIP_MIN_N {
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if rng.bernoulli(p) {
-                    emit(i, j)?;
-                }
+        bernoulli_pairs(n, p, rng, emit)
+    } else if p > 0.0 {
+        skip_pairs(n, p, rng, emit)
+    } else {
+        Ok(())
+    }
+}
+
+// Each regime owns its generator in a non-inlined frame: inlined into a
+// caller, the xoshiro state goes through the stack on every draw.
+
+/// The `n < GEOMETRIC_SKIP_MIN_N` regime: one draw per pair, in canonical
+/// order, kept when its top 53 bits fall below
+/// [`Xoshiro256::bernoulli_threshold`] (the same decision as
+/// [`Xoshiro256::bernoulli`]).
+#[inline(never)]
+fn bernoulli_pairs(
+    n: usize,
+    p: f64,
+    mut rng: Xoshiro256,
+    mut emit: impl FnMut(usize, usize) -> Result<(), GraphError>,
+) -> Result<(), GraphError> {
+    let k = Xoshiro256::bernoulli_threshold(p);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if rng.next_u64() >> 11 < k {
+                emit(i, j)?;
             }
         }
-    } else if p > 0.0 {
-        // Skip sampling: the gap before the next present pair in canonical
-        // order is geometric with success probability p, sampled by
-        // inversion as floor(ln(1 − U) / ln(1 − p)). For p = 1 the log is
-        // −∞ and every skip is 0, i.e. the complete graph, as required.
-        let ln_q = (1.0 - p).ln();
-        let (mut i, mut j) = (0usize, 1usize);
-        while i + 1 < n {
-            let u = rng.unit_f64();
-            let mut skip = ((1.0 - u).ln() / ln_q) as u64;
-            // Advance the (i, j) cursor over `skip` absent pairs.
-            while skip > 0 && i + 1 < n {
-                let row_left = (n - j) as u64;
-                if skip < row_left {
-                    j += skip as usize;
-                    skip = 0;
-                } else {
-                    skip -= row_left;
-                    i += 1;
-                    j = i + 1;
-                }
+    }
+    Ok(())
+}
+
+/// The `n ≥ GEOMETRIC_SKIP_MIN_N` regime (`0 < p`): the gap before the next
+/// present pair in canonical order is geometric with success probability
+/// p, sampled by inversion as floor(ln(1 − U) / ln(1 − p)). For p = 1 the
+/// log is −∞ and every skip is 0, i.e. the complete graph, as required.
+#[inline(never)]
+fn skip_pairs(
+    n: usize,
+    p: f64,
+    mut rng: Xoshiro256,
+    mut emit: impl FnMut(usize, usize) -> Result<(), GraphError>,
+) -> Result<(), GraphError> {
+    let ln_q = (1.0 - p).ln();
+    let (mut i, mut j) = (0usize, 1usize);
+    while i + 1 < n {
+        let u = rng.unit_f64();
+        let mut skip = ((1.0 - u).ln() / ln_q) as u64;
+        // Advance the (i, j) cursor over `skip` absent pairs.
+        while skip > 0 && i + 1 < n {
+            let row_left = (n - j) as u64;
+            if skip < row_left {
+                j += skip as usize;
+                skip = 0;
+            } else {
+                skip -= row_left;
+                i += 1;
+                j = i + 1;
             }
-            if i + 1 < n {
-                emit(i, j)?;
-                j += 1;
-                if j == n {
-                    i += 1;
-                    j = i + 1;
-                }
+        }
+        if i + 1 < n {
+            emit(i, j)?;
+            j += 1;
+            if j == n {
+                i += 1;
+                j = i + 1;
             }
         }
     }
@@ -424,11 +464,10 @@ mod tests {
         assert_eq!(erdos_renyi(25_000, 0.0, 1).unwrap().m(), 0);
     }
 
-    /// The regime boundary sits exactly at `GEOMETRIC_SKIP_MIN_N`: the last
-    /// Bernoulli size keeps its historical stream (pinned via an edge-count
-    /// fingerprint so accidental crossover moves fail loudly), and the
-    /// first skip-sampled size is deterministic with a plausible edge
-    /// count.
+    /// The regime boundary sits exactly at `GEOMETRIC_SKIP_MIN_N`: both the
+    /// last Bernoulli size and the first skip-sampled size are
+    /// deterministic with a plausible edge count. The Bernoulli stream
+    /// itself is pinned by value in `bernoulli_regime_streams_are_pinned`.
     #[test]
     fn crossover_boundary_regimes() {
         let below = GEOMETRIC_SKIP_MIN_N - 1; // 1023: per-pair Bernoulli
@@ -448,6 +487,82 @@ mod tests {
                 g.n(),
                 g.m()
             );
+        }
+    }
+
+    /// FNV-1a over the edge list, each endpoint as 8 little-endian bytes.
+    fn edge_digest(g: &Graph) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &(u, v) in g.edges() {
+            for x in [u.index() as u64, v.index() as u64] {
+                for byte in x.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The per-pair Bernoulli stream below `GEOMETRIC_SKIP_MIN_N`, pinned by
+    /// edge count and edge-list digest: `erdos_renyi(n, p, 11)` across the
+    /// regime's sizes and densities, and the connected sparse graphs of
+    /// Table 1 (`erdos_renyi_connected(n, 8/n, 7)`). Every small-n golden,
+    /// audit trace and Table 1 number rests on these streams.
+    #[test]
+    fn bernoulli_regime_streams_are_pinned() {
+        let gnp: [(usize, [(usize, u64); 4]); 4] = [
+            (
+                16,
+                [
+                    (0, 0xcbf2_9ce4_8422_2325),
+                    (61, 0xa57a_7bec_19c8_c26a),
+                    (61, 0xa57a_7bec_19c8_c26a),
+                    (120, 0x5b6e_adb4_b0d1_3e25),
+                ],
+            ),
+            (
+                64,
+                [
+                    (0, 0xcbf2_9ce4_8422_2325),
+                    (277, 0x7713_e5f8_a57b_dadb),
+                    (1000, 0x1a98_f1d0_bc8e_9e70),
+                    (2016, 0x3176_debe_ec44_af25),
+                ],
+            ),
+            (
+                512,
+                [
+                    (0, 0xcbf2_9ce4_8422_2325),
+                    (2098, 0x2877_0ad0_84d7_1271),
+                    (65561, 0x4627_085b_8ae7_eecc),
+                    (130816, 0x7f5e_7927_c851_9c25),
+                ],
+            ),
+            (
+                1023,
+                [
+                    (0, 0xcbf2_9ce4_8422_2325),
+                    (4107, 0x25a8_062f_d2e4_8aac),
+                    (261415, 0x3779_a4f1_c486_6276),
+                    (522753, 0xffce_f3e3_1462_ad51),
+                ],
+            ),
+        ];
+        for (n, pins) in gnp {
+            for (p, (m, digest)) in [0.0, 8.0 / n as f64, 0.5, 1.0].into_iter().zip(pins) {
+                let g = erdos_renyi(n, p, 11).unwrap();
+                assert_eq!((g.m(), edge_digest(&g)), (m, digest), "n={n} p={p}");
+            }
+        }
+        let connected = [
+            (64, 257, 0x9184_2bf8_7628_ac72),
+            (128, 518, 0x6151_40ca_5a0c_f567),
+            (256, 1006, 0xd4d7_df3d_7297_9ad3),
+            (512, 2054, 0x1019_540e_a1f5_276e),
+        ];
+        for (n, m, digest) in connected {
+            let g = erdos_renyi_connected(n, 8.0 / n as f64, 7).unwrap();
+            assert_eq!((g.m(), edge_digest(&g)), (m, digest), "n={n}");
         }
     }
 

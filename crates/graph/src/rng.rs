@@ -132,6 +132,31 @@ impl Xoshiro256 {
         self.unit_f64() < p
     }
 
+    /// The integer form of [`Xoshiro256::bernoulli`]: `k` such that
+    /// `next_u64() >> 11 < k` decides exactly as `bernoulli(p)` does on
+    /// the same draw.
+    ///
+    /// With `x = next_u64() >> 11 < 2⁵³`, `unit_f64()` is `x · 2⁻⁵³`
+    /// exactly, and for `p` in `[0, 1]` so is `p · 2⁵³` (scaling by a power
+    /// of two, subnormals included). For an integer `x`,
+    /// `x · 2⁻⁵³ < p ⇔ x < p · 2⁵³ ⇔ x < ⌈p · 2⁵³⌉`. Outside `[0, 1]` the
+    /// saturating cast keeps the clamping: `p < 0` and NaN give 0 (never),
+    /// `p > 1` gives more than `2⁵³` (always).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use wakeup_graph::rng::Xoshiro256;
+    /// let k = Xoshiro256::bernoulli_threshold(0.25);
+    /// let (mut a, mut b) = (Xoshiro256::seed_from(3), Xoshiro256::seed_from(3));
+    /// for _ in 0..1000 {
+    ///     assert_eq!(a.bernoulli(0.25), b.next_u64() >> 11 < k);
+    /// }
+    /// ```
+    pub fn bernoulli_threshold(p: f64) -> u64 {
+        (p * (1u64 << 53) as f64).ceil() as u64
+    }
+
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -248,6 +273,51 @@ mod tests {
         let mut r = Xoshiro256::seed_from(13);
         let hits = (0..10_000).filter(|_| r.bernoulli(0.3)).count();
         assert!((2_500..3_500).contains(&hits), "hits = {hits}");
+    }
+
+    /// `bernoulli_threshold(p)` is the least `k` with `k · 2⁻⁵³ ≥ p`, and
+    /// the integer test decides as `bernoulli(p)` does, at the edges of
+    /// the float range and around the 2⁻⁵³ grid.
+    #[test]
+    fn bernoulli_threshold_matches_float_test() {
+        let ulp = f64::powi(2.0, -53);
+        let probes = [
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            ulp.next_down(),
+            ulp,
+            ulp.next_up(),
+            8.0 / 511.0,
+            0.5f64.next_down(),
+            0.5,
+            0.5f64.next_up(),
+            1.0 - ulp,
+            1.0,
+        ];
+        for p in probes {
+            let k = Xoshiro256::bernoulli_threshold(p);
+            assert!(k <= 1 << 53, "p = {p:e}: k = {k}");
+            if k > 0 {
+                assert!((k - 1) as f64 * ulp < p, "p = {p:e}: k = {k} not least");
+            }
+            if k < 1 << 53 {
+                assert!(k as f64 * ulp >= p, "p = {p:e}: k = {k} too small");
+            }
+            let mut a = Xoshiro256::seed_from(17);
+            let mut b = a.clone();
+            for draw in 0..100_000 {
+                assert_eq!(
+                    a.bernoulli(p),
+                    b.next_u64() >> 11 < k,
+                    "p = {p:e}, draw {draw}"
+                );
+            }
+        }
+        // Outside [0, 1] the threshold keeps `bernoulli`'s clamping.
+        assert_eq!(Xoshiro256::bernoulli_threshold(-0.5), 0);
+        assert_eq!(Xoshiro256::bernoulli_threshold(f64::NAN), 0);
+        assert!(Xoshiro256::bernoulli_threshold(1.5) > 1 << 53);
     }
 
     #[test]
