@@ -149,7 +149,7 @@ fn main() {
     };
     let mut engine = AsyncEngine::<FloodAsync>::new_shared(net, config);
     engine.reset(7);
-    let warm = engine.run_mut(&schedule, &mut UnitDelay);
+    let warm = engine.run_mut(&schedule, &UnitDelay);
     assert!(warm.all_awake);
 
     ALLOCS.store(0, Ordering::Relaxed);
@@ -157,7 +157,7 @@ fn main() {
     let mut events = 0u64;
     for t in 0..trials {
         engine.reset(7 + t);
-        let report = engine.run_mut(&schedule, &mut UnitDelay);
+        let report = engine.run_mut(&schedule, &UnitDelay);
         assert!(report.all_awake);
         events += report.messages() + 1;
     }
@@ -197,7 +197,7 @@ fn main() {
     };
     let mut engine = AsyncEngine::<FloodAsync>::new_shared(net, config);
     engine.reset(7);
-    let warm = engine.run_mut(&schedule, &mut UnitDelay);
+    let warm = engine.run_mut(&schedule, &UnitDelay);
     assert!(warm.all_awake);
 
     ALLOCS.store(0, Ordering::Relaxed);
@@ -205,7 +205,7 @@ fn main() {
     let mut events = 0u64;
     for t in 0..trials {
         engine.reset(7 + t);
-        let report = engine.run_mut(&schedule, &mut UnitDelay);
+        let report = engine.run_mut(&schedule, &UnitDelay);
         assert!(report.all_awake);
         events += report.messages() + 1;
     }

@@ -239,7 +239,7 @@ fn run_async<P: AsyncProtocol>(
     net: &Network,
     config: AsyncConfig,
     schedule: &WakeSchedule,
-    delays: &mut dyn DelayStrategy,
+    delays: &dyn DelayStrategy,
 ) -> RunReport {
     AsyncEngine::<P>::new(net, config).run_with(schedule, delays)
 }
@@ -305,9 +305,11 @@ fn delay_matrix(h: &mut Harness) {
                 tau,
             ));
         }
-        for (label, mut delays, max_ticks) in cases {
-            let report = run_async::<FloodAsync>(&net, async_cfg(1), &schedule, delays.as_mut());
-            let scope = AuditScope::new(&net).with_max_delay_ticks(max_ticks);
+        for (label, delays, max_ticks) in cases {
+            let report = run_async::<FloodAsync>(&net, async_cfg(1), &schedule, delays.as_ref());
+            let scope = AuditScope::new(&net)
+                .with_max_delay_ticks(max_ticks)
+                .with_delays(delays.as_ref());
             h.audit(&format!("matrix-async-flood-n{n}-{label}"), scope, &report);
         }
 
@@ -341,8 +343,8 @@ fn cached_vs_cold(h: &mut Harness) {
     let cold_graph = wakeup_graph::generators::erdos_renyi_connected(n, 8.0 / n as f64, 7)
         .expect("sparse workload graph");
     let cold_net = Network::kt0(cold_graph, 7);
-    let a = run_async::<FloodAsync>(&cached_net, async_cfg(3), &schedule, &mut UnitDelay);
-    let b = run_async::<FloodAsync>(&cold_net, async_cfg(3), &schedule, &mut UnitDelay);
+    let a = run_async::<FloodAsync>(&cached_net, async_cfg(3), &schedule, &UnitDelay);
+    let b = run_async::<FloodAsync>(&cold_net, async_cfg(3), &schedule, &UnitDelay);
     h.equivalent("cached-vs-cold-network", &a, &b, true);
 
     // Advice artifact: cache the spanner oracle's output, then recompute it
@@ -371,9 +373,9 @@ fn cached_vs_cold(h: &mut Harness) {
         &cached_net,
         scfg(cached_advice.clone()),
         &schedule,
-        &mut UnitDelay,
+        &UnitDelay,
     );
-    let b = run_async::<SpannerWake>(&cached_net, scfg(cold_advice), &schedule, &mut UnitDelay);
+    let b = run_async::<SpannerWake>(&cached_net, scfg(cold_advice), &schedule, &UnitDelay);
     h.equivalent("cached-vs-cold-spanner-advice", &a, &b, true);
     h.audit(
         "cached-vs-cold-spanner-advice-audit",

@@ -184,7 +184,7 @@ fn flood_async_with(n: usize, shards: usize, protocol: &'static str) -> Entry {
         },
         |engine| {
             engine.reset(7);
-            let report = engine.run_mut(&schedule, &mut UnitDelay);
+            let report = engine.run_mut(&schedule, &UnitDelay);
             assert!(report.all_awake);
             // Every delivery is one event, plus one wake event per node.
             (report.messages() + n as u64, report)
@@ -237,7 +237,7 @@ fn dfs_async(n: usize, _shards: usize) -> Entry {
         },
         |engine| {
             engine.reset(7);
-            let report = engine.run_mut(&schedule, &mut UnitDelay);
+            let report = engine.run_mut(&schedule, &UnitDelay);
             assert!(report.all_awake);
             (report.messages() + n as u64, report)
         },

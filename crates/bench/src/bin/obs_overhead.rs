@@ -73,7 +73,7 @@ fn main() {
     let timed_run = |engine: &mut AsyncEngine<FloodAsync>, seed: u64| -> f64 {
         engine.reset(seed);
         let start = Instant::now();
-        let report = engine.run_mut(&schedule, &mut UnitDelay);
+        let report = engine.run_mut(&schedule, &UnitDelay);
         let secs = start.elapsed().as_secs_f64();
         assert!(report.all_awake);
         events.set(report.messages() + 1);

@@ -330,9 +330,9 @@ mod tests {
         let g = generators::cycle(25).unwrap();
         let net = Network::kt1(g, 3);
         let schedule = WakeSchedule::all_at_zero(&[NodeId::new(0), NodeId::new(12)]);
-        let mut delays = AdversarialDelay::new(77);
+        let delays = AdversarialDelay::new(77);
         let config = AsyncConfig::default();
-        let report = AsyncEngine::<DfsRank>::new(&net, config).run_with(&schedule, &mut delays);
+        let report = AsyncEngine::<DfsRank>::new(&net, config).run_with(&schedule, &delays);
         assert!(report.all_awake);
     }
 
@@ -365,9 +365,9 @@ mod tests {
         let g = generators::erdos_renyi_connected(n, 0.15, 5).unwrap();
         let net = Network::kt1(g, 5);
         let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-        let mut delays = RandomDelay::new(3);
+        let delays = RandomDelay::new(3);
         let report = AsyncEngine::<DfsRank>::new(&net, AsyncConfig::default())
-            .run_with(&WakeSchedule::all_at_zero(&all), &mut delays);
+            .run_with(&WakeSchedule::all_at_zero(&all), &delays);
         assert!(report.all_awake);
         let bound = (12.0 * n as f64 * (n as f64).ln()) as u64;
         assert!(

@@ -146,9 +146,9 @@ mod tests {
         let rho = algo::awake_distance(&g, &awake).unwrap() as f64;
         let net = Network::kt0(g, 5);
         for seed in 0..5 {
-            let mut delays = RandomDelay::new(seed);
+            let delays = RandomDelay::new(seed);
             let report = AsyncEngine::<FloodAsync>::new(&net, AsyncConfig::default())
-                .run_with(&WakeSchedule::all_at_zero(&awake), &mut delays);
+                .run_with(&WakeSchedule::all_at_zero(&awake), &delays);
             assert!(report.metrics.wakeup_time_units().unwrap() <= rho + 1e-9);
         }
     }

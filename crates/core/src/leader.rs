@@ -246,13 +246,12 @@ mod tests {
         let awake: Vec<NodeId> = vec![NodeId::new(0), NodeId::new(29), NodeId::new(14)];
         let schedule = WakeSchedule::staggered(&awake, 11.0);
         for seed in 0..5 {
-            let mut delays = RandomDelay::new(seed);
+            let delays = RandomDelay::new(seed);
             let config = AsyncConfig {
                 seed,
                 ..AsyncConfig::default()
             };
-            let report =
-                AsyncEngine::<LeaderElect>::new(&net, config).run_with(&schedule, &mut delays);
+            let report = AsyncEngine::<LeaderElect>::new(&net, config).run_with(&schedule, &delays);
             assert!(report.all_awake);
             agreed_leader(&report);
         }

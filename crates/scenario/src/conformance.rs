@@ -5,17 +5,17 @@
 //! workloads:
 //!
 //! 1. **invariants** — the audited run through [`Auditor::standard`], with
-//!    the scope tightened to the spec's τ cap and, for advising schemes,
-//!    its CONGEST channel and advice lengths;
+//!    the scope tightened to the spec's τ cap, naming its delay strategy
+//!    (async) and, for advising schemes, its CONGEST channel and advice
+//!    lengths;
 //! 2. **batch-vs-per-message** — [`PerMessage`] (async) / [`PerRound`]
 //!    (sync) must reproduce the batched fast path byte-for-byte, digests
 //!    and audit-trace bytes both;
 //! 3. **reset-vs-fresh** — a dirtied engine after `reset()` must match a
 //!    freshly constructed one exactly;
-//! 4. **sharded-vs-serial** — when the spec's delay strategy forks, the
-//!    engine's one executor at shard count 2 must agree with its inline
-//!    one-shard run on the digest and the byte-exact observability
-//!    snapshot;
+//! 4. **sharded-vs-serial** — the engine's one executor at shard count 2
+//!    must agree with its inline one-shard run on the digest and the
+//!    byte-exact observability snapshot;
 //! 5. **lockstep-vs-sync** — a unit-delay flooding spec with round-aligned
 //!    wake times is a synchronous execution and must agree with the sync
 //!    engine under [`Lockstep`] (digests; the engines schedule internal
@@ -33,7 +33,7 @@ use crate::run::{
 };
 use crate::spec::{DelaySpec, GraphSpec, ProtocolSpec, ScenarioSpec, WakeSpec};
 use wakeup_core::flooding::FloodAsync;
-use wakeup_sim::adversary::{DelayStrategy, RandomDelay, WakeSchedule};
+use wakeup_sim::adversary::{RandomDelay, WakeSchedule};
 use wakeup_sim::audit::{AuditLog, AuditScope, Auditor};
 use wakeup_sim::{
     AsyncConfig, AsyncEngine, AsyncProtocol, BitStr, ChannelModel, Lockstep, Network, PerMessage,
@@ -174,18 +174,20 @@ impl AsyncDispatch for AsyncBattery<'_> {
             audit_capacity: Some(AUDIT_CAP),
             ..async_config(spec, channel, advice.clone())
         };
-        let run = |config: AsyncConfig| {
-            let mut delays = build_delays(&spec.delays);
-            AsyncEngine::<P>::new(net, config).run_with(schedule, &mut delays)
-        };
+        // One strategy serves every run: delays are pure functions.
+        let delays = build_delays(&spec.delays);
+        let run =
+            |config: AsyncConfig| AsyncEngine::<P>::new(net, config).run_with(schedule, &delays);
 
         let base = run(cfg());
 
-        // 1. Invariant battery over the audited trace.
+        // 1. Invariant battery over the audited trace, each delivery tick
+        // recomputed from the spec's delay strategy.
         if spec.engine.audit {
             let mut scope = AuditScope::new(net)
                 .with_channel(channel)
                 .with_max_delay_ticks(spec.delays.max_delay_ticks())
+                .with_delays(&delays)
                 .with_completed(!base.truncated);
             if let Some(advice) = &advice {
                 scope = scope.with_advice(advice);
@@ -209,10 +211,7 @@ impl AsyncDispatch for AsyncBattery<'_> {
         }
 
         // 2. Batched vs per-message delivery.
-        let per_message = {
-            let mut delays = build_delays(&spec.delays);
-            AsyncEngine::<PerMessage<P>>::new(net, cfg()).run_with(schedule, &mut delays)
-        };
+        let per_message = AsyncEngine::<PerMessage<P>>::new(net, cfg()).run_with(schedule, &delays);
         checks.push(equivalent(
             "batch-vs-per-message",
             &base,
@@ -225,24 +224,21 @@ impl AsyncDispatch for AsyncBattery<'_> {
             let mut engine = AsyncEngine::<P>::new(net, cfg());
             // Dirty every scratch structure with a different-seed run.
             engine.reset(spec.engine.seed ^ 0x5A5A);
-            let _ = engine.run_mut(schedule, &mut RandomDelay::new(23));
+            let _ = engine.run_mut(schedule, &RandomDelay::new(23));
             engine.reset(spec.engine.seed);
-            let mut delays = build_delays(&spec.delays);
-            engine.run_mut(schedule, &mut delays)
+            engine.run_mut(schedule, &delays)
         };
         checks.push(equivalent("reset-vs-fresh", &base, &reused, true));
 
-        // 4. Two shards vs one (forkable strategies only; audit recording
-        // forces one shard, so this pairing uses plain configs).
-        if build_delays(&spec.delays).fork().is_some() {
-            let plain = |shards: usize| AsyncConfig {
-                shards,
-                ..async_config(spec, channel, advice.clone())
-            };
-            let serial = run(plain(1));
-            let sharded = run(plain(2));
-            checks.push(equivalent_snapshots("sharded-vs-serial", &serial, &sharded));
-        }
+        // 4. Two shards vs one (audit recording forces one shard, so this
+        // pairing uses plain configs).
+        let plain = |shards: usize| AsyncConfig {
+            shards,
+            ..async_config(spec, channel, advice.clone())
+        };
+        let serial = run(plain(1));
+        let sharded = run(plain(2));
+        checks.push(equivalent_snapshots("sharded-vs-serial", &serial, &sharded));
 
         // 5. Async under the lockstep adversary vs the sync engine.
         if spec.protocol == ProtocolSpec::Flooding

@@ -307,8 +307,8 @@ impl AsyncDispatch for PlainRun<'_> {
         advice: Option<Arc<Vec<BitStr>>>,
     ) -> RunReport {
         let config = engine_async_config(self.engine, self.obs_windows, channel, advice);
-        let mut delays = build_delays(self.delays);
-        AsyncEngine::<P>::new(net, config).run_with(self.schedule, &mut delays)
+        let delays = build_delays(self.delays);
+        AsyncEngine::<P>::new(net, config).run_with(self.schedule, &delays)
     }
 }
 
@@ -565,7 +565,7 @@ mod tests {
             ..AsyncConfig::default()
         };
         let reference = AsyncEngine::<LeaderElect>::new(&net, config)
-            .run_with(&build_schedule(&s), &mut RandomDelay::new(3));
+            .run_with(&build_schedule(&s), &RandomDelay::new(3));
         assert_eq!(
             wakeup_sim::RunDigest::of(&run.report).diff(&wakeup_sim::RunDigest::of(&reference)),
             Vec::<String>::new()

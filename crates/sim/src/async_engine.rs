@@ -103,10 +103,10 @@ pub struct AsyncConfig {
     /// Number of intra-run worker shards (default 1: the one worker runs
     /// inline on the calling thread). With `K > 1` the nodes are
     /// partitioned into `K` contiguous ranges advanced in lockstep tick
-    /// windows by `K` threads; output is byte-identical at any shard count.
-    /// Runs that record audit logs, or use a delay strategy
-    /// without a deterministic [`DelayStrategy::fork`], use one shard and
-    /// record why in [`crate::RuntimeCounters::shard_fallback`].
+    /// windows by `K` threads, sharing the run's [`DelayStrategy`]; output is
+    /// byte-identical at any shard count. Runs that record audit logs use
+    /// one shard and record why in
+    /// [`crate::RuntimeCounters::shard_fallback`].
     pub shards: usize,
 }
 
@@ -312,9 +312,8 @@ pub struct AsyncEngine<'n, P: AsyncProtocol> {
     tables: Arc<NodeTables>,
     /// The network's locality-ordered run space, when this engine may use
     /// it (chosen at construction: audit recording pins the engine to
-    /// identity execution). Individual runs additionally require a
-    /// forkable — i.e. history-free — delay strategy and fall back to
-    /// identity space otherwise.
+    /// identity execution). Every run of the engine executes in it; the
+    /// delay strategy sees original ids either way.
     space: Option<Arc<crate::network::RunSpace>>,
     config: AsyncConfig,
     protocols: Vec<P>,
@@ -465,15 +464,11 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
 
     /// Runs with per-message delay τ (the [`UnitDelay`] strategy).
     pub fn run(mut self, schedule: &WakeSchedule) -> RunReport {
-        self.run_mut(schedule, &mut UnitDelay)
+        self.run_mut(schedule, &UnitDelay)
     }
 
     /// Runs with an explicit delay strategy.
-    pub fn run_with(
-        mut self,
-        schedule: &WakeSchedule,
-        delays: &mut dyn DelayStrategy,
-    ) -> RunReport {
+    pub fn run_with(mut self, schedule: &WakeSchedule, delays: &dyn DelayStrategy) -> RunReport {
         self.run_mut(schedule, delays)
     }
 
@@ -483,7 +478,7 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
     pub fn run_into_parts(
         mut self,
         schedule: &WakeSchedule,
-        delays: &mut dyn DelayStrategy,
+        delays: &dyn DelayStrategy,
     ) -> (RunReport, Vec<P>) {
         let report = self.run_mut(schedule, delays);
         (report, self.protocols)
@@ -493,27 +488,14 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
     /// [`AsyncEngine::reset`] and go again over the same topology. The
     /// protocol states afterwards are the run's final states (read them via
     /// [`AsyncEngine::protocols`]).
-    pub fn run_mut(
-        &mut self,
-        schedule: &WakeSchedule,
-        delays: &mut dyn DelayStrategy,
-    ) -> RunReport {
-        // Recording runs and runs whose delay strategy has no deterministic
-        // `fork` use one shard: a sharded run calls one fork per shard, and a
-        // relabeled run calls the strategy in a different within-tick
-        // interleaving, so hidden sequential state would change the delays.
-        // Non-forkable runs also execute in identity space over the original
-        // tables; the output is byte-identical either way.
-        let forkable = delays.fork().is_some();
+    pub fn run_mut(&mut self, schedule: &WakeSchedule, delays: &dyn DelayStrategy) -> RunReport {
+        // Recording runs use one shard: the audit log is one chronological
+        // stream. The delay strategy is a pure function, so the shard count
+        // and the id space change only the order in which it is queried.
         let mut audit = self.config.audit_capacity.map(AuditLog::with_capacity);
-        let forced = audit
-            .as_ref()
-            .map(|_| ShardFallback::Audit)
-            .or((!forkable).then_some(ShardFallback::UnforkableDelays));
-        let (rel, tables) = match &self.space {
-            Some(s) if forkable => (Some(&*s.rel), &*self.tables),
-            _ => (None, &**self.net.tables()),
-        };
+        let forced = audit.as_ref().map(|_| ShardFallback::Audit);
+        let rel = self.space.as_ref().map(|s| &*s.rel);
+        let tables = &*self.tables;
         let plan = RunPlan::new(self.net.n(), self.config.shards, forced, rel, tables);
         let net = &*self.net;
         let config = &self.config;
@@ -581,7 +563,7 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
                 bufs,
                 wakes,
                 cursor: 0,
-                fork: None,
+                delays,
                 rel,
                 from_mask: plan.sender_mask(),
                 phase: 0,
@@ -619,13 +601,10 @@ impl<'n, P: AsyncProtocol> AsyncEngine<'n, P> {
                 if now == u64::MAX {
                     break;
                 }
-                w.process_tick(now, delays);
+                w.process_tick(now);
             }
             w.finish();
         } else {
-            for w in &mut workers {
-                w.fork = delays.fork();
-            }
             crate::shard::exchange(&mut workers, |ps| {
                 next(AsyncProgress {
                     next_event: ps.iter().map(|p| p.next_event).min().unwrap_or(u64::MAX),
@@ -684,9 +663,8 @@ struct AsyncShard<'e, P: AsyncProtocol> {
     /// relabeled — the shard ranges partition run-id space).
     wakes: Vec<(u64, NodeId)>,
     cursor: usize,
-    /// This shard's fork of the delay strategy (`k > 1`; a lone inline
-    /// worker borrows the caller's strategy instead).
-    fork: Option<Box<dyn DelayStrategy + Send>>,
+    /// The run's delay strategy, shared by every shard.
+    delays: &'e dyn DelayStrategy,
     /// `Some` iff this run executes in the locality-ordered run space: node
     /// indices are run ids, and entry `from` fields carry packed sort keys.
     rel: Option<&'e wakeup_graph::Relabeling>,
@@ -744,9 +722,7 @@ impl<P: AsyncProtocol> crate::shard::Worker for AsyncShard<'_, P> {
     }
 
     fn window(&mut self, now: u64) {
-        let mut delays = self.fork.take().expect("k > 1 workers own a fork");
-        self.process_tick(now, &mut *delays);
-        self.fork = Some(delays);
+        self.process_tick(now);
     }
 
     fn finish(&mut self) {
@@ -777,7 +753,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
     /// One tick over this shard's nodes in the canonical order: schedule
     /// wakes ascending, then one delivery batch per receiver ascending,
     /// each in channel send order.
-    fn process_tick(&mut self, now: u64, delays: &mut dyn DelayStrategy) {
+    fn process_tick(&mut self, now: u64) {
         let (sends0, bits0) = (self.obs.sends, self.sm.bits_sent);
         self.phase = 0;
         while self.cursor < self.wakes.len() && self.wakes[self.cursor].0 == now {
@@ -785,7 +761,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             self.cursor += 1;
             self.new_events += 1;
             if !self.nodes.awake[v.index() - self.lo] {
-                self.wake_node(v, WakeCause::Adversary, now, delays);
+                self.wake_node(v, WakeCause::Adversary, now);
             }
         }
         self.phase = 1;
@@ -825,7 +801,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             if obs_full {
                 batch_run.note(&mut self.obs.batch_sizes, batch.len() as u64);
             }
-            self.deliver_batch(batch, now, delays);
+            self.deliver_batch(batch, now);
         }
         self.batch_run = batch_run;
         touched.clear();
@@ -836,13 +812,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
         self.obs.tl_traffic(now, delivered, sends, bits);
     }
 
-    fn wake_node(
-        &mut self,
-        v: NodeId,
-        cause: WakeCause,
-        tick: u64,
-        delays: &mut dyn DelayStrategy,
-    ) {
+    fn wake_node(&mut self, v: NodeId, cause: WakeCause, tick: u64) {
         let li = v.index() - self.lo;
         // `v` is a run id when relabeled; everything the outside world can
         // see (the audit log, the protocol's Context) gets the original id.
@@ -881,7 +851,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
         if self.rel.is_none() {
             self.obs.stamp_new_spans(tick, self.phase, v.index() as u32);
         }
-        self.dispatch_outbox(&mut entries, v, tick, delays);
+        self.dispatch_outbox(&mut entries, v, tick);
         self.bufs.entries_buf = entries;
     }
 
@@ -890,12 +860,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
     /// call, one dispatch. Equivalent to delivering the entries one by one
     /// — the handler's sends land in strictly later ticks either way, so
     /// nothing this batch does can affect the rest of the current bucket.
-    fn deliver_batch(
-        &mut self,
-        entries: &[DeliverEntry],
-        tick: u64,
-        delays: &mut dyn DelayStrategy,
-    ) {
+    fn deliver_batch(&mut self, entries: &[DeliverEntry], tick: u64) {
         let to = NodeId::new(entries[0].to as usize);
         let li = to.index() - self.lo;
         let ot = self
@@ -921,7 +886,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             // sender becomes `to`'s predecessor in the causal wake forest.
             self.obs
                 .note_wake_pred(li, entries[0].from & self.from_mask);
-            self.wake_node(to, WakeCause::Message, tick, delays);
+            self.wake_node(to, WakeCause::Message, tick);
         }
         let kt1 = self.net.mode() == crate::knowledge::KnowledgeMode::Kt1;
         let mut batch = std::mem::take(&mut self.sc.batch_buf);
@@ -967,7 +932,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
             self.obs
                 .stamp_new_spans(tick, self.phase, to.index() as u32);
         }
-        self.dispatch_outbox(&mut out_entries, to, tick, delays);
+        self.dispatch_outbox(&mut out_entries, to, tick);
         self.bufs.entries_buf = out_entries;
         self.sc.batch_buf = batch;
     }
@@ -976,13 +941,7 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
     /// pushes straight into its wheel; at `k > 1` sends are staged per
     /// `(destination shard, phase)` for the exchange — same-shard sends
     /// keep their arena handle, cross-shard sends carry the payload itself.
-    fn dispatch_outbox(
-        &mut self,
-        entries: &mut Vec<(Port, PayloadRef)>,
-        from: NodeId,
-        tick: u64,
-        delays: &mut dyn DelayStrategy,
-    ) {
+    fn dispatch_outbox(&mut self, entries: &mut Vec<(Port, PayloadRef)>, from: NodeId, tick: u64) {
         // Most handler invocations send nothing (e.g. an already-awake flood
         // node ignoring a duplicate) — skip everything for an empty outbox.
         if entries.is_empty() {
@@ -1020,7 +979,8 @@ impl<P: AsyncProtocol> AsyncShard<'_, P> {
                 self.sm.ports.set(ls);
             }
             let seq = self.channel_seq[ls];
-            let delay = delays
+            let delay = self
+                .delays
                 .delay_ticks(of, ot, tick, seq)
                 .clamp(1, TICKS_PER_UNIT);
             self.channel_seq[ls] = seq + 1;
@@ -1139,9 +1099,9 @@ mod tests {
     fn random_delays_still_wake_everyone_and_respect_tau() {
         let net = Network::kt0(generators::erdos_renyi_connected(30, 0.2, 9).unwrap(), 4);
         let schedule = WakeSchedule::single(NodeId::new(0));
-        let mut delays = RandomDelay::new(5);
-        let report = AsyncEngine::<Flood>::new(&net, AsyncConfig::default())
-            .run_with(&schedule, &mut delays);
+        let delays = RandomDelay::new(5);
+        let report =
+            AsyncEngine::<Flood>::new(&net, AsyncConfig::default()).run_with(&schedule, &delays);
         assert!(report.all_awake);
         let rho = wakeup_graph::algo::awake_distance(net.graph(), &[NodeId::new(0)]).unwrap();
         // Flooding under any (0, τ] delays completes within ρ_awk units.
@@ -1153,9 +1113,9 @@ mod tests {
         let net = Network::kt0(generators::cycle(12).unwrap(), 4);
         let schedule = WakeSchedule::single(NodeId::new(3));
         let run = |salt| {
-            let mut delays = AdversarialDelay::new(salt);
+            let delays = AdversarialDelay::new(salt);
             AsyncEngine::<Flood>::new(&net, AsyncConfig::default())
-                .run_with(&schedule, &mut delays)
+                .run_with(&schedule, &delays)
                 .metrics
                 .last_receipt_tick
         };
@@ -1378,9 +1338,9 @@ mod tests {
     fn fifo_holds_under_random_delays() {
         let net = Network::kt0(generators::path(2).unwrap(), 0);
         for seed in 0..10 {
-            let mut delays = RandomDelay::new(seed);
+            let delays = RandomDelay::new(seed);
             let report = AsyncEngine::<FifoProbe>::new(&net, AsyncConfig::default())
-                .run_with(&WakeSchedule::single(NodeId::new(0)), &mut delays);
+                .run_with(&WakeSchedule::single(NodeId::new(0)), &delays);
             assert_eq!(report.outputs[1], Some(1), "FIFO violated for seed {seed}");
         }
     }
@@ -1391,7 +1351,7 @@ mod tests {
     /// same-tick ordering.
     struct DecreasingDelay;
     impl DelayStrategy for DecreasingDelay {
-        fn delay_ticks(&mut self, _: NodeId, _: NodeId, _: u64, seq: u64) -> u64 {
+        fn delay_ticks(&self, _: NodeId, _: NodeId, _: u64, seq: u64) -> u64 {
             TICKS_PER_UNIT.saturating_sub(seq * 100)
         }
     }
@@ -1403,7 +1363,7 @@ mod tests {
         // out in send order.
         let net = Network::kt0(generators::path(2).unwrap(), 0);
         let report = AsyncEngine::<FifoProbe>::new(&net, AsyncConfig::default())
-            .run_with(&WakeSchedule::single(NodeId::new(0)), &mut DecreasingDelay);
+            .run_with(&WakeSchedule::single(NodeId::new(0)), &DecreasingDelay);
         assert_eq!(
             report.outputs[1],
             Some(1),
@@ -1463,8 +1423,8 @@ mod tests {
                 shards,
                 ..AsyncConfig::default()
             };
-            let mut delays = AdversarialDelay::new(7);
-            AsyncEngine::<Flood>::new(&net, config).run_with(&schedule, &mut delays)
+            let delays = AdversarialDelay::new(7);
+            AsyncEngine::<Flood>::new(&net, config).run_with(&schedule, &delays)
         };
         let serial = run(1);
         for shards in [2, 3, 4, 64] {
@@ -1481,8 +1441,9 @@ mod tests {
         }
     }
 
-    /// An unforkable (history-dependent) delay strategy runs on one shard
-    /// whatever the request, records why, and gives the same output.
+    /// Random delays are a pure function of the message, so a 4-shard run
+    /// really uses 4 shards, records no fallback, and matches the one-shard
+    /// run byte for byte.
     #[test]
     fn random_delays_run_on_one_shard_under_sharding() {
         let net = Network::kt0(generators::erdos_renyi_connected(20, 0.2, 3).unwrap(), 3);
@@ -1492,22 +1453,23 @@ mod tests {
                 shards,
                 ..AsyncConfig::default()
             };
-            let mut delays = RandomDelay::new(99);
-            AsyncEngine::<Flood>::new(&net, config).run_with(&schedule, &mut delays)
+            let delays = RandomDelay::new(99);
+            AsyncEngine::<Flood>::new(&net, config).run_with(&schedule, &delays)
         };
         let (one, four) = (run(1), run(4));
         assert_eq!(one.metrics, four.metrics);
+        assert_eq!(one.outputs, four.outputs);
         let a = crate::obs::ObsSnapshot::of(&one);
         let b = crate::obs::ObsSnapshot::of(&four);
         assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.to_prometheus(), b.to_prometheus());
         assert_eq!(
             (one.obs.runtime.shards, one.obs.runtime.shard_fallback),
             (1, None)
         );
         let rt = &four.obs.runtime;
-        assert_eq!(rt.shards, 1);
-        assert_eq!(rt.shards_requested, 4);
-        assert_eq!(rt.shard_fallback, Some(ShardFallback::UnforkableDelays));
+        assert_eq!((rt.shards, rt.shards_requested), (4, 4));
+        assert_eq!(rt.shard_fallback, None);
     }
 
     /// Audit recording keeps a run on one shard and records the reason: a
@@ -1524,8 +1486,8 @@ mod tests {
                 audit_capacity: Some(1 << 14),
                 ..AsyncConfig::default()
             };
-            let mut delays = AdversarialDelay::new(3);
-            AsyncEngine::<Flood>::new(&net, config).run_with(&schedule, &mut delays)
+            let delays = AdversarialDelay::new(3);
+            AsyncEngine::<Flood>::new(&net, config).run_with(&schedule, &delays)
         };
         let (one, four) = (run(1), run(4));
         assert_eq!(four.obs.runtime.shard_fallback, Some(ShardFallback::Audit));
@@ -1567,9 +1529,9 @@ mod tests {
                 track_ports: true,
                 ..AsyncConfig::default()
             };
-            let mut delays = AdversarialDelay::new(7);
+            let delays = AdversarialDelay::new(7);
             AsyncEngine::<Flood>::new(&net, config)
-                .run_with(&WakeSchedule::single(NodeId::new(5)), &mut delays)
+                .run_with(&WakeSchedule::single(NodeId::new(5)), &delays)
         };
         let (one, three) = (run(1), run(3));
         assert_eq!(three.obs.runtime.shards, 3);
@@ -1658,8 +1620,8 @@ mod tests {
                 shards,
                 ..AsyncConfig::default()
             };
-            let mut delays = AdversarialDelay::new(23);
-            AsyncEngine::<PhasedFlood>::new(net, config).run_with(&schedule, &mut delays)
+            let delays = AdversarialDelay::new(23);
+            AsyncEngine::<PhasedFlood>::new(net, config).run_with(&schedule, &delays)
         };
         for shards in [1, 3] {
             let a = run(&relabeled, shards);
@@ -1683,7 +1645,7 @@ mod tests {
         // the same delivery tick and one bucket run: a single batch of 6.
         let net = Network::kt0(generators::path(2).unwrap(), 0);
         let (report, states) = AsyncEngine::<BatchProbe>::new(&net, AsyncConfig::default())
-            .run_into_parts(&WakeSchedule::single(NodeId::new(0)), &mut UnitDelay);
+            .run_into_parts(&WakeSchedule::single(NodeId::new(0)), &UnitDelay);
         assert_eq!(report.outputs[1], Some(6));
         assert_eq!(states[1].batches, vec![6]);
     }
@@ -1792,7 +1754,7 @@ mod tests {
     ) -> (RunReport, Vec<GroupProbe>, Vec<u32>) {
         BATCH_CALLS.with(|c| c.borrow_mut().clear());
         let (report, states) = AsyncEngine::<GroupProbe>::new(net, AsyncConfig::default())
-            .run_into_parts(schedule, &mut UnitDelay);
+            .run_into_parts(schedule, &UnitDelay);
         (report, states, BATCH_CALLS.with(|c| c.take()))
     }
 

@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 
 use super::{AuditEvent, AuditLog, AuditScope};
+use crate::metrics::TICKS_PER_UNIT;
 use crate::protocol::WakeCause;
 use wakeup_graph::NodeId;
 
@@ -67,7 +68,8 @@ impl<'a> Auditor<'a> {
 
     /// The full standard battery: edge validity, FIFO order, the `(0, τ]`
     /// delay bound, CONGEST budgets, monotone clocks, payload lifecycle,
-    /// wake causality, and advice accounting.
+    /// wake causality, advice accounting, and — when the scope names the
+    /// run's delay strategy — the strategy's exact delivery ticks.
     pub fn standard(scope: AuditScope<'a>) -> Auditor<'a> {
         Auditor::empty(scope)
             .with_invariant(Box::new(EdgeValidity::default()))
@@ -78,6 +80,7 @@ impl<'a> Auditor<'a> {
             .with_invariant(Box::new(PayloadLifecycle::default()))
             .with_invariant(Box::new(WakeCausality::default()))
             .with_invariant(Box::new(AdviceAccounting::default()))
+            .with_invariant(Box::new(ObliviousDelays::default()))
     }
 
     /// Adds a checker to the pipeline.
@@ -340,6 +343,75 @@ impl Invariant for DelayBound {
                     }
                 }
                 ledger.last_delivery = Some(ledger.last_delivery.map_or(tick, |p| p.max(tick)));
+            }
+            _ => {}
+        }
+    }
+
+    fn finish(&mut self, _scope: &AuditScope<'_>, _complete: bool) -> Vec<Violation> {
+        std::mem::take(&mut self.violations)
+    }
+}
+
+/// Every delivery lands on exactly the tick the oblivious adversary fixed
+/// for it: the `seq`-th send on a channel, at tick `t`, is delivered at
+/// `max(t + d, the channel's previous scheduled delivery)`, where `d` is
+/// [`AuditScope::delays`]' `delay_ticks(from, to, t, seq)` clamped into
+/// `[1, τ]` as the engine clamps it. Where [`DelayBound`] and [`FifoOrder`]
+/// accept any legal schedule, this one accepts only the strategy's; it
+/// checks nothing when the scope names no strategy.
+#[derive(Default)]
+pub struct ObliviousDelays {
+    channels: HashMap<(u32, u32), ScheduledChannel>,
+    violations: Vec<Violation>,
+}
+
+/// One directed channel as the strategy schedules it.
+#[derive(Default)]
+struct ScheduledChannel {
+    /// Sends so far (the next send's `seq`).
+    sends: u64,
+    /// Latest delivery tick scheduled (the FIFO horizon).
+    horizon: u64,
+    /// Scheduled ticks of the not-yet-delivered sends, front = oldest.
+    pending: std::collections::VecDeque<u64>,
+}
+
+impl Invariant for ObliviousDelays {
+    fn name(&self) -> &'static str {
+        "oblivious-delays"
+    }
+
+    fn observe(&mut self, scope: &AuditScope<'_>, seq: u64, event: &AuditEvent) {
+        let Some(delays) = scope.delays else {
+            return;
+        };
+        match *event {
+            AuditEvent::Send { tick, from, to, .. } => {
+                let ch = self.channels.entry((from, to)).or_default();
+                let (u, v) = (NodeId::new(from as usize), NodeId::new(to as usize));
+                let delay = delays
+                    .delay_ticks(u, v, tick, ch.sends)
+                    .clamp(1, TICKS_PER_UNIT);
+                ch.sends += 1;
+                ch.horizon = (tick + delay).max(ch.horizon);
+                ch.pending.push_back(ch.horizon);
+            }
+            AuditEvent::Deliver { tick, from, to, .. } => {
+                // Phantom deliveries are FifoOrder's finding.
+                let ch = self.channels.entry((from, to)).or_default();
+                if let Some(scheduled) = ch.pending.pop_front() {
+                    if tick != scheduled {
+                        self.violations.push(Violation {
+                            invariant: "oblivious-delays",
+                            seq: Some(seq),
+                            detail: format!(
+                                "channel {from} -> {to}: delivery at tick {tick}, \
+                                 but the delay strategy scheduled it for tick {scheduled}"
+                            ),
+                        });
+                    }
+                }
             }
             _ => {}
         }

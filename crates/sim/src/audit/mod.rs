@@ -17,7 +17,10 @@
 //!   ([`Auditor::standard`]) validates edge validity, per-edge FIFO order,
 //!   the `(0, τ]` delay bound, CONGEST budgets as charged at enqueue,
 //!   monotone clocks, payload lifecycle (no use-after-free, no double
-//!   delivery, no loss), wake causality, and advice-length accounting.
+//!   delivery, no loss), wake causality, and advice-length accounting —
+//!   plus, when the scope names the run's delay strategy, the oblivious
+//!   adversary itself ([`ObliviousDelays`]: every delivery tick recomputed
+//!   from the strategy).
 //! * **JSONL** — [`AuditLog::to_jsonl`] / [`AuditLog::from_jsonl`] give a
 //!   stable line-per-event interchange format, so a failing execution can be
 //!   committed as a fixture, attached to CI artifacts, and replayed through
@@ -64,11 +67,12 @@ mod jsonl;
 
 pub use invariants::{
     AdviceAccounting, Auditor, CongestBudget, DelayBound, EdgeValidity, FifoOrder, Invariant,
-    MonotoneClock, PayloadLifecycle, Violation, WakeCausality,
+    MonotoneClock, ObliviousDelays, PayloadLifecycle, Violation, WakeCausality,
 };
 
 use wakeup_graph::NodeId;
 
+use crate::adversary::DelayStrategy;
 use crate::arena::PayloadRef;
 use crate::bits::BitStr;
 use crate::message::ChannelModel;
@@ -333,9 +337,10 @@ impl AuditLog {
 
 /// Everything the invariant checkers need to know about the run besides the
 /// event log itself: the network, the bandwidth model the engine enforced,
-/// the delay bound, whether the run completed (truncated runs skip
-/// end-of-log conservation checks), and the oracle's advice lengths.
-#[derive(Debug, Clone)]
+/// the delay bound, the delay strategy when known, whether the run completed
+/// (truncated runs skip end-of-log conservation checks), and the oracle's
+/// advice lengths.
+#[derive(Clone)]
 pub struct AuditScope<'a> {
     /// The network the execution ran over.
     pub net: &'a Network,
@@ -344,6 +349,9 @@ pub struct AuditScope<'a> {
     /// Maximum permitted delivery delay in ticks (the model's τ; tighten it
     /// when the delay strategy was capped below `TICKS_PER_UNIT`).
     pub max_delay_ticks: u64,
+    /// The delay strategy the run used, if known: enables
+    /// [`ObliviousDelays`] in [`Auditor::standard`].
+    pub delays: Option<&'a dyn DelayStrategy>,
     /// Whether the engine ran to quiescence (enables conservation checks).
     pub completed: bool,
     /// Per-node advice lengths in bits, when an oracle was configured.
@@ -358,6 +366,7 @@ impl<'a> AuditScope<'a> {
             net,
             channel: ChannelModel::Local,
             max_delay_ticks: TICKS_PER_UNIT,
+            delays: None,
             completed: true,
             advice_bits: None,
         }
@@ -375,6 +384,13 @@ impl<'a> AuditScope<'a> {
         self
     }
 
+    /// Names the run's delay strategy, so every delivery tick is checked
+    /// against the one the strategy fixed ([`ObliviousDelays`]).
+    pub fn with_delays(mut self, delays: &'a dyn DelayStrategy) -> Self {
+        self.delays = Some(delays);
+        self
+    }
+
     /// Marks the run as truncated/incomplete, disabling conservation checks.
     pub fn with_completed(mut self, completed: bool) -> Self {
         self.completed = completed;
@@ -385,6 +401,19 @@ impl<'a> AuditScope<'a> {
     pub fn with_advice(mut self, advice: &[BitStr]) -> Self {
         self.advice_bits = Some(advice.iter().map(|a| a.len() as u32).collect());
         self
+    }
+}
+
+impl std::fmt::Debug for AuditScope<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AuditScope")
+            .field("net", &self.net)
+            .field("channel", &self.channel)
+            .field("max_delay_ticks", &self.max_delay_ticks)
+            .field("delays", &self.delays.map(|_| "dyn DelayStrategy"))
+            .field("completed", &self.completed)
+            .field("advice_bits", &self.advice_bits)
+            .finish()
     }
 }
 

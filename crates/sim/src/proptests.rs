@@ -171,9 +171,9 @@ proptest! {
         let net = Network::kt0(generators::path(2).unwrap(), 0);
         // `shared_seed` smuggles the message count into `OrderProbe::init`.
         let config = AsyncConfig { shared_seed: k, ..AsyncConfig::default() };
-        let mut delays = RandomDelay::new(dseed);
+        let delays = RandomDelay::new(dseed);
         let report = AsyncEngine::<OrderProbe>::new(&net, config)
-            .run_with(&WakeSchedule::single(NodeId::new(0)), &mut delays);
+            .run_with(&WakeSchedule::single(NodeId::new(0)), &delays);
         prop_assert_eq!(report.outputs[1], Some(1));
     }
 
@@ -196,9 +196,9 @@ proptest! {
         let net = Network::kt0(g, seed);
         let ids: Vec<NodeId> = (0..wakes.min(n)).map(NodeId::new).collect();
         let schedule = WakeSchedule::staggered(&ids, gap_quarters as f64 * 0.25);
-        let mut delays = RandomDelay::new(seed ^ 0x9E3779B97F4A7C15);
+        let delays = RandomDelay::new(seed ^ 0x9E3779B97F4A7C15);
         let report = AsyncEngine::<FloodProbe>::new(&net, AsyncConfig::default())
-            .run_with(&schedule, &mut delays);
+            .run_with(&schedule, &delays);
         prop_assert!(report.all_awake);
         let cp = report.critical_path();
         prop_assert!(
@@ -231,8 +231,8 @@ proptest! {
     }
 
     /// The locality-relabeling tentpole, property-tested: over arbitrary
-    /// connected graphs, wake schedules, and (oblivious, forkable) delay
-    /// adversaries, a relabeled run and a forced identity-space run
+    /// connected graphs, wake schedules, and oblivious delay adversaries
+    /// (pure functions of original ids), a relabeled run and a forced identity-space run
     /// produce identical metrics, outputs, and observability bytes.
     #[test]
     fn relabeled_and_identity_runs_agree_on_arbitrary_workloads(
@@ -253,9 +253,9 @@ proptest! {
         let ids: Vec<NodeId> = (0..wakes.min(n)).map(NodeId::new).collect();
         let schedule = WakeSchedule::staggered(&ids, gap_quarters as f64 * 0.25);
         let run = |net: &Network| {
-            let mut delays = AdversarialDelay::new(seed ^ 0xD6E8_FEB8_6659_FD93);
+            let delays = AdversarialDelay::new(seed ^ 0xD6E8_FEB8_6659_FD93);
             AsyncEngine::<FloodProbe>::new(net, AsyncConfig::default())
-                .run_with(&schedule, &mut delays)
+                .run_with(&schedule, &delays)
         };
         let (a, b) = (run(&relabeled), run(&identity));
         prop_assert_eq!(&a.metrics, &b.metrics);

@@ -56,9 +56,6 @@ pub const MAX_SHARDS: usize = 256;
 pub enum ShardFallback {
     /// Audit recording: the audit log is one chronological event stream.
     Audit,
-    /// The delay strategy has no deterministic [`crate::adversary::DelayStrategy::fork`],
-    /// so it cannot be split across shards.
-    UnforkableDelays,
     /// The network has fewer nodes than the requested shard count.
     NBelowK,
     /// The request exceeds [`MAX_SHARDS`].
@@ -70,7 +67,6 @@ impl ShardFallback {
     pub fn as_str(self) -> &'static str {
         match self {
             ShardFallback::Audit => "audit",
-            ShardFallback::UnforkableDelays => "unforkable_delays",
             ShardFallback::NBelowK => "n_below_k",
             ShardFallback::MaxShards => "max_shards",
         }

@@ -76,9 +76,9 @@ fn run_async_battery<P: AsyncProtocol>(name: &str, net: &Network) {
     let g = net.graph();
     let victims: Vec<NodeId> = (0..g.n()).step_by(9).map(NodeId::new).collect();
     for (sname, schedule) in schedules(g) {
-        for (dname, mut delays) in delay_strategies(&victims) {
+        for (dname, delays) in delay_strategies(&victims) {
             let report =
-                AsyncEngine::<P>::new(net, async_seed(11)).run_with(&schedule, delays.as_mut());
+                AsyncEngine::<P>::new(net, async_seed(11)).run_with(&schedule, delays.as_ref());
             assert!(
                 report.all_awake,
                 "{name} failed under schedule {sname} + delays {dname}"
@@ -112,9 +112,9 @@ fn leader_elect_survives_the_battery_with_agreement() {
     let net = Network::kt1(g.clone(), 4);
     let victims: Vec<NodeId> = (0..g.n()).step_by(9).map(NodeId::new).collect();
     for (sname, schedule) in schedules(&g) {
-        for (dname, mut delays) in delay_strategies(&victims) {
+        for (dname, delays) in delay_strategies(&victims) {
             let report = AsyncEngine::<LeaderElect>::new(&net, async_seed(11))
-                .run_with(&schedule, delays.as_mut());
+                .run_with(&schedule, delays.as_ref());
             assert!(report.all_awake, "{sname}/{dname}");
             let first = report.outputs[0].expect("everyone elects");
             assert!(
@@ -158,12 +158,12 @@ fn sync_algorithms_survive_the_schedules() {
 
 /// Runs flooding under `delays`, with the audit log enabled, and asserts
 /// the standard invariant pipeline (FIFO per channel, delay ∈ (0, τ_cap],
-/// CONGEST budgets, monotone clocks, payload lifecycle, wake causality)
-/// finds nothing.
+/// CONGEST budgets, monotone clocks, payload lifecycle, wake causality, and
+/// every delivery tick recomputed from `delays`) finds nothing.
 fn assert_clean_audit(
     net: &Network,
     schedule: &WakeSchedule,
-    delays: &mut dyn DelayStrategy,
+    delays: &dyn DelayStrategy,
     max_delay_ticks: u64,
     label: &str,
 ) {
@@ -176,7 +176,9 @@ fn assert_clean_audit(
     assert!(report.all_awake && !report.truncated, "{label}");
     let log = report.audit_log.as_ref().expect("audit enabled");
     assert!(!log.truncated, "{label}: audit log truncated");
-    let scope = AuditScope::new(net).with_max_delay_ticks(max_delay_ticks);
+    let scope = AuditScope::new(net)
+        .with_max_delay_ticks(max_delay_ticks)
+        .with_delays(delays);
     let violations = Auditor::standard(scope).run(log);
     assert!(
         violations.is_empty(),
@@ -191,11 +193,11 @@ fn every_delay_strategy_passes_the_auditor() {
     let net = Network::kt0(battleground(), 1);
     let victims: Vec<NodeId> = (0..net.n()).step_by(9).map(NodeId::new).collect();
     let schedule = WakeSchedule::random(net.n(), 4, 13);
-    for (dname, mut delays) in delay_strategies(&victims) {
+    for (dname, delays) in delay_strategies(&victims) {
         assert_clean_audit(
             &net,
             &schedule,
-            delays.as_mut(),
+            delays.as_ref(),
             TICKS_PER_UNIT,
             &format!("uncapped/{dname}"),
         );
@@ -211,14 +213,8 @@ fn every_delay_strategy_passes_the_auditor_under_tau_caps() {
     let schedule = WakeSchedule::random(net.n(), 4, 13);
     for tau in [1u64, 3, 16] {
         for (dname, delays) in delay_strategies(&victims) {
-            let mut capped = CappedDelay::new(delays, tau);
-            assert_clean_audit(
-                &net,
-                &schedule,
-                &mut capped,
-                tau,
-                &format!("τ={tau}/{dname}"),
-            );
+            let capped = CappedDelay::new(delays, tau);
+            assert_clean_audit(&net, &schedule, &capped, tau, &format!("τ={tau}/{dname}"));
         }
     }
 }

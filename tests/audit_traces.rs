@@ -11,9 +11,12 @@ use wakeup::core::fast_wakeup::FastWakeUp;
 use wakeup::core::flooding::{FloodAsync, FloodSync};
 use wakeup::graph::{generators, NodeId};
 use wakeup::sim::adversary::{RandomDelay, WakeSchedule};
-use wakeup::sim::audit::{AuditEvent, AuditLog, AuditScope, Auditor, PayloadLifecycle, Violation};
+use wakeup::sim::audit::{
+    AuditEvent, AuditLog, AuditScope, Auditor, DelayBound, FifoOrder, ObliviousDelays,
+    PayloadLifecycle, Violation,
+};
 use wakeup::sim::{
-    AsyncConfig, AsyncEngine, Network, RunReport, SyncConfig, SyncEngine, WakeCause,
+    AsyncConfig, AsyncEngine, Network, RunReport, SyncConfig, SyncEngine, WakeCause, TICKS_PER_UNIT,
 };
 
 const FLOOD_GOLDEN: &str = include_str!("fixtures/audit_flood_n16.jsonl");
@@ -25,19 +28,21 @@ fn fixture_path(name: &str) -> std::path::PathBuf {
         .join(name)
 }
 
-/// The pinned flooding workload: n=16 sparse graph, one initial waker,
-/// seeded random delays.
+/// The network of the pinned flooding workload: n=16 sparse graph.
+fn flood_net() -> Network {
+    Network::kt0(generators::erdos_renyi_connected(16, 0.5, 7).unwrap(), 7)
+}
+
+/// The pinned flooding workload: one initial waker, seeded random delays.
 fn flood_trace() -> String {
-    let net = Network::kt0(generators::erdos_renyi_connected(16, 0.5, 7).unwrap(), 7);
+    let net = flood_net();
     let config = AsyncConfig {
         seed: 7,
         audit_capacity: Some(1 << 20),
         ..AsyncConfig::default()
     };
-    let report = AsyncEngine::<FloodAsync>::new(&net, config).run_with(
-        &WakeSchedule::single(NodeId::new(0)),
-        &mut RandomDelay::new(5),
-    );
+    let report = AsyncEngine::<FloodAsync>::new(&net, config)
+        .run_with(&WakeSchedule::single(NodeId::new(0)), &RandomDelay::new(5));
     assert!(report.all_awake && !report.truncated);
     report.audit_log.expect("audit enabled").to_jsonl()
 }
@@ -88,6 +93,89 @@ fn goldens_parse_and_round_trip() {
         assert!(!log.is_empty());
         assert_eq!(log.to_jsonl(), golden, "round trip is lossless");
     }
+}
+
+/// The committed flood trace replays clean against the delay strategy that
+/// recorded it, every delivery tick recomputed from `RandomDelay::new(5)`;
+/// the strategy of another seed would have fixed other ticks.
+#[test]
+fn flood_golden_replays_against_its_delay_strategy() {
+    let net = flood_net();
+    let log = AuditLog::from_jsonl(FLOOD_GOLDEN).unwrap();
+    let audit = |seed| {
+        Auditor::standard(AuditScope::new(&net).with_delays(&RandomDelay::new(seed))).run(&log)
+    };
+    let clean = audit(5);
+    assert!(clean.is_empty(), "{clean:?}");
+    let other = audit(6);
+    assert!(!other.is_empty());
+    assert!(
+        other.iter().all(|v| v.invariant == "oblivious-delays"),
+        "{other:?}"
+    );
+}
+
+/// A delivery moved one tick later — still within τ of its send and after
+/// every earlier delivery on its channel, so FIFO order and the delay bound
+/// accept the log — is not the schedule the strategy fixed.
+#[test]
+fn a_delivery_moved_by_one_tick_fails_only_oblivious_delays() {
+    let net = flood_net();
+    let golden = AuditLog::from_jsonl(FLOOD_GOLDEN).unwrap();
+    let events = golden.events();
+    // Per channel: its send ticks, and its deliveries as (event index,
+    // delay); the k-th delivery carries the k-th send.
+    let mut sends = std::collections::HashMap::<(u32, u32), Vec<u64>>::new();
+    let mut delivered = std::collections::HashMap::<(u32, u32), Vec<(usize, u64)>>::new();
+    for (i, event) in events.iter().enumerate() {
+        match *event {
+            AuditEvent::Send { tick, from, to, .. } => {
+                sends.entry((from, to)).or_default().push(tick)
+            }
+            AuditEvent::Deliver { tick, from, to, .. } => {
+                let d = delivered.entry((from, to)).or_default();
+                let sent = sends[&(from, to)][d.len()];
+                d.push((i, tick - sent));
+            }
+            _ => {}
+        }
+    }
+    // The earliest channel-final delivery that took less than τ.
+    let moved = delivered
+        .values()
+        .filter_map(|d| d.last().copied())
+        .filter(|&(_, delay)| delay < TICKS_PER_UNIT)
+        .map(|(i, _)| i)
+        .min()
+        .expect("some last delivery beat τ");
+    let mut log = AuditLog::default();
+    for (i, &event) in events.iter().enumerate() {
+        log.record(match event {
+            AuditEvent::Deliver {
+                tick,
+                from,
+                to,
+                slot,
+                gen,
+            } if i == moved => AuditEvent::Deliver {
+                tick: tick + 1,
+                from,
+                to,
+                slot,
+                gen,
+            },
+            other => other,
+        });
+    }
+    let delays = RandomDelay::new(5);
+    let violations = Auditor::empty(AuditScope::new(&net).with_delays(&delays))
+        .with_invariant(Box::new(FifoOrder::default()))
+        .with_invariant(Box::new(DelayBound::default()))
+        .with_invariant(Box::new(ObliviousDelays::default()))
+        .run(&log);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert_eq!(violations[0].invariant, "oblivious-delays");
+    assert_eq!(violations[0].seq, Some(moved as u64));
 }
 
 #[test]
@@ -193,7 +281,7 @@ fn flood_run(sync: bool, cap: u64, audit_capacity: usize) -> RunReport {
             audit_capacity: Some(audit_capacity),
             ..AsyncConfig::default()
         };
-        AsyncEngine::<FloodAsync>::new(&net, config).run_with(&schedule, &mut RandomDelay::new(3))
+        AsyncEngine::<FloodAsync>::new(&net, config).run_with(&schedule, &RandomDelay::new(3))
     }
 }
 

@@ -70,15 +70,10 @@ fn async_pair<P: AsyncProtocol>(
     config: AsyncConfig,
     delay_seed: u64,
 ) -> (Vec<String>, String, String) {
-    let mk = || -> Box<dyn DelayStrategy> {
-        if delay_seed == 0 {
-            Box::new(UnitDelay)
-        } else {
-            Box::new(RandomDelay::new(delay_seed))
-        }
-    };
-    let a = AsyncEngine::<P>::new(net, config.clone()).run_with(schedule, &mut mk());
-    let b = AsyncEngine::<PerMessage<P>>::new(net, config).run_with(schedule, &mut mk());
+    let random = RandomDelay::new(delay_seed);
+    let delays: &dyn DelayStrategy = if delay_seed == 0 { &UnitDelay } else { &random };
+    let a = AsyncEngine::<P>::new(net, config.clone()).run_with(schedule, delays);
+    let b = AsyncEngine::<PerMessage<P>>::new(net, config).run_with(schedule, delays);
     let diffs = RunDigest::of(&a).diff(&RunDigest::of(&b));
     let ta = a
         .audit_log
@@ -186,9 +181,10 @@ fn run_sync<P: SyncProtocol>(
 }
 
 /// Runs `P` at one shard and at `shards` worker shards over the same seeds
-/// (plain, non-audited configs — audit recording forces one shard) and
-/// asserts that the exchange really ran, digest equality, and byte-identity
-/// of both observability serializations.
+/// (plain, non-audited configs — audit recording forces one shard), under
+/// skewed and under random delays, and asserts that the exchange really
+/// ran, digest equality, and byte-identity of both observability
+/// serializations.
 fn assert_async_sharded_matches_serial<P: AsyncProtocol>(
     net: &Network,
     schedule: &WakeSchedule,
@@ -196,36 +192,44 @@ fn assert_async_sharded_matches_serial<P: AsyncProtocol>(
     delay_seed: u64,
     shards: usize,
 ) {
-    let run = |shards: usize| {
-        let config = AsyncConfig {
-            shards,
-            ..config.clone()
+    let skewed = AdversarialDelay::new(delay_seed);
+    let random = RandomDelay::new(delay_seed);
+    for (label, delays) in [
+        ("skewed", &skewed as &dyn DelayStrategy),
+        ("random", &random),
+    ] {
+        let run = |shards: usize| {
+            let config = AsyncConfig {
+                shards,
+                ..config.clone()
+            };
+            AsyncEngine::<P>::new(net, config).run_with(schedule, delays)
         };
-        let mut delays = AdversarialDelay::new(delay_seed);
-        AsyncEngine::<P>::new(net, config).run_with(schedule, &mut delays)
-    };
-    let serial = run(1);
-    let sharded = run(shards);
-    prop_assert_eq!(sharded.obs.runtime.shards as usize, shards.min(net.n()));
-    let diffs = RunDigest::of(&serial).diff(&RunDigest::of(&sharded));
-    prop_assert!(
-        diffs.is_empty(),
-        "digest diffs at {shards} shards: {diffs:?}"
-    );
-    let a = ObsSnapshot::of(&serial);
-    let b = ObsSnapshot::of(&sharded);
-    prop_assert_eq!(
-        a.to_json(),
-        b.to_json(),
-        "obs json diverged at {} shards",
-        shards
-    );
-    prop_assert_eq!(
-        a.to_prometheus(),
-        b.to_prometheus(),
-        "prometheus text diverged at {} shards",
-        shards
-    );
+        let serial = run(1);
+        let sharded = run(shards);
+        prop_assert_eq!(sharded.obs.runtime.shards as usize, shards.min(net.n()));
+        let diffs = RunDigest::of(&serial).diff(&RunDigest::of(&sharded));
+        prop_assert!(
+            diffs.is_empty(),
+            "{label}: digest diffs at {shards} shards: {diffs:?}"
+        );
+        let a = ObsSnapshot::of(&serial);
+        let b = ObsSnapshot::of(&sharded);
+        prop_assert_eq!(
+            a.to_json(),
+            b.to_json(),
+            "{}: obs json diverged at {} shards",
+            label,
+            shards
+        );
+        prop_assert_eq!(
+            a.to_prometheus(),
+            b.to_prometheus(),
+            "{}: prometheus text diverged at {} shards",
+            label,
+            shards
+        );
+    }
 }
 
 proptest! {
@@ -328,12 +332,12 @@ proptest! {
         let schedule = WakeSchedule::staggered(&all, 1.25);
         let config = AsyncConfig { seed, shards: 3, ..AsyncConfig::default() };
         let fresh = AsyncEngine::<FloodAsync>::new(&net, config.clone())
-            .run_with(&schedule, &mut AdversarialDelay::new(5));
+            .run_with(&schedule, &AdversarialDelay::new(5));
         let mut engine = AsyncEngine::<FloodAsync>::new(&net, config);
         engine.reset(dirty_seed);
-        let _ = engine.run_mut(&schedule, &mut AdversarialDelay::new(dirty_seed.wrapping_add(1)));
+        let _ = engine.run_mut(&schedule, &AdversarialDelay::new(dirty_seed.wrapping_add(1)));
         engine.reset(seed);
-        let reused = engine.run_mut(&schedule, &mut AdversarialDelay::new(5));
+        let reused = engine.run_mut(&schedule, &AdversarialDelay::new(5));
         let diffs = RunDigest::of(&fresh).diff(&RunDigest::of(&reused));
         prop_assert!(diffs.is_empty(), "digest diffs: {diffs:?}");
         let a = ObsSnapshot::of(&fresh);

@@ -25,7 +25,7 @@ fn claim4_tokens_forwarded_per_node_logarithmic() {
             ..AsyncConfig::default()
         };
         let (report, protocols) =
-            AsyncEngine::<DfsRank>::new(&net, config).run_into_parts(&schedule, &mut UnitDelay);
+            AsyncEngine::<DfsRank>::new(&net, config).run_into_parts(&schedule, &UnitDelay);
         assert!(report.all_awake);
         let max_forwarded = protocols.iter().map(|p| p.tokens_forwarded).max().unwrap();
         // Claim 4's bound with a generous constant: the count per node is a

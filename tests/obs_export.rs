@@ -42,10 +42,8 @@ fn snapshot() -> ObsSnapshot {
         seed: 7,
         ..AsyncConfig::default()
     };
-    let report = AsyncEngine::<FloodAsync>::new(&net, config).run_with(
-        &WakeSchedule::single(NodeId::new(0)),
-        &mut RandomDelay::new(5),
-    );
+    let report = AsyncEngine::<FloodAsync>::new(&net, config)
+        .run_with(&WakeSchedule::single(NodeId::new(0)), &RandomDelay::new(5));
     assert!(report.all_awake);
     report.obs_snapshot()
 }

@@ -41,12 +41,12 @@ fn assert_runs_audit_clean(g: Graph, seed: u64, delay_seed: u64) {
         audit_capacity: Some(1 << 20),
         ..AsyncConfig::default()
     };
-    let mut delays = RandomDelay::new(delay_seed);
+    let delays = RandomDelay::new(delay_seed);
     let engine = AsyncEngine::<DfsRank>::new(&net, config.clone());
-    check("dfs-rank", engine.run_with(&wake, &mut delays));
-    let mut delays = RandomDelay::new(delay_seed);
+    check("dfs-rank", engine.run_with(&wake, &delays));
+    let delays = RandomDelay::new(delay_seed);
     let engine = AsyncEngine::<FloodAsync>::new(&net, config);
-    check("flood-async", engine.run_with(&wake, &mut delays));
+    check("flood-async", engine.run_with(&wake, &delays));
     let config = SyncConfig {
         seed,
         audit_capacity: Some(1 << 20),
@@ -129,9 +129,9 @@ proptest! {
         let net = Network::kt0(g, seed);
         let awake: Vec<NodeId> = vec![NodeId::new(seed as usize % n)];
         let rho = algo::awake_distance(net.graph(), &awake).unwrap() as f64;
-        let mut delays = RandomDelay::new(seed);
+        let delays = RandomDelay::new(seed);
         let report = AsyncEngine::<FloodAsync>::new(&net, async_seed(seed))
-            .run_with(&WakeSchedule::all_at_zero(&awake), &mut delays);
+            .run_with(&WakeSchedule::all_at_zero(&awake), &delays);
         prop_assert!(report.metrics.wakeup_time_units().unwrap() <= rho + 1e-9);
     }
 
@@ -332,7 +332,7 @@ proptest! {
         for trial in 0..3u64 {
             let trial_seed = seed ^ (trial << 32) ^ trial;
             reused.reset(trial_seed);
-            let a = reused.run_mut(&schedule, &mut UnitDelay);
+            let a = reused.run_mut(&schedule, &UnitDelay);
             let fresh_config = AsyncConfig { seed: trial_seed, ..config.clone() };
             let b = AsyncEngine::<DfsRank>::new(&net, fresh_config).run(&schedule);
             prop_assert_eq!(a.all_awake, b.all_awake, "trial {}", trial);

@@ -78,14 +78,14 @@ fn sequence() -> Vec<(&'static str, Run)> {
             "random delays",
             Box::new(|net: &Network| {
                 AsyncEngine::<FloodAsync>::new(net, async_config(4))
-                    .run_with(&staggered(), &mut RandomDelay::new(11))
+                    .run_with(&staggered(), &RandomDelay::new(11))
             }),
         ),
         (
             "four shards",
             Box::new(|net: &Network| {
                 let report = AsyncEngine::<FloodAsync>::new(net, async_config(4))
-                    .run_with(&staggered(), &mut AdversarialDelay::new(7));
+                    .run_with(&staggered(), &AdversarialDelay::new(7));
                 assert_eq!(report.obs.runtime.shards, 4);
                 report
             }),
@@ -94,14 +94,14 @@ fn sequence() -> Vec<(&'static str, Run)> {
             "one shard",
             Box::new(|net: &Network| {
                 AsyncEngine::<FloodAsync>::new(net, async_config(1))
-                    .run_with(&staggered(), &mut AdversarialDelay::new(7))
+                    .run_with(&staggered(), &AdversarialDelay::new(7))
             }),
         ),
         (
             "dfs-rank",
             Box::new(|net: &Network| {
                 AsyncEngine::<DfsRank>::new(net, async_config(1))
-                    .run_with(&staggered(), &mut AdversarialDelay::new(2))
+                    .run_with(&staggered(), &AdversarialDelay::new(2))
             }),
         ),
         (
@@ -151,9 +151,9 @@ fn reset_loops_borrow_the_same_buffers() {
     let net = network(false);
     let schedule = WakeSchedule::single(NodeId::new(4));
     let mut engine = AsyncEngine::<FloodAsync>::new(&net, async_config(1));
-    let first = engine.run_mut(&schedule, &mut UnitDelay);
+    let first = engine.run_mut(&schedule, &UnitDelay);
     engine.reset(9);
-    let second = engine.run_mut(&schedule, &mut UnitDelay);
+    let second = engine.run_mut(&schedule, &UnitDelay);
     assert!(!first.obs.runtime.run_buffers_reused);
     assert!(second.obs.runtime.run_buffers_reused);
     // A new engine on the same network takes over the same buffers.
@@ -166,11 +166,11 @@ fn reset_loops_borrow_the_same_buffers() {
 fn concurrent_engines_on_one_network_match_their_serial_runs() {
     let flood = |net: Arc<Network>| {
         AsyncEngine::<FloodAsync>::new_shared(net, async_config(1))
-            .run_with(&staggered(), &mut AdversarialDelay::new(7))
+            .run_with(&staggered(), &AdversarialDelay::new(7))
     };
     let dfs = |net: Arc<Network>| {
         AsyncEngine::<DfsRank>::new_shared(net, async_config(1))
-            .run_with(&staggered(), &mut AdversarialDelay::new(2))
+            .run_with(&staggered(), &AdversarialDelay::new(2))
     };
     let serial = (
         outputs(&flood(Arc::new(network(false)))),

@@ -274,8 +274,7 @@ fn every_table1_spec_field_reaches_the_measurement() {
 
 /// The leader-election corpus spec, and variants of it under every delay
 /// strategy and wake kind, pass the whole conformance battery: invariant
-/// audit, batched vs per-message, reset vs fresh, and two shards vs one
-/// where the delays fork.
+/// audit, batched vs per-message, reset vs fresh, and two shards vs one.
 #[test]
 fn leader_specs_pass_the_battery() {
     let path = corpus::dir().join("audit/08-leader.json");
@@ -326,13 +325,18 @@ fn leader_specs_pass_the_battery() {
                 spec.wake = wake.clone();
                 spec.engine.seed = seed;
                 spec.validate().unwrap();
-                for check in conformance::run_battery(&spec) {
+                let checks = conformance::run_battery(&spec);
+                for check in &checks {
                     assert!(
                         check.passed,
                         "{graph:?}/{delays:?}/{wake:?}: {}: {}",
                         check.name, check.detail
                     );
                 }
+                assert!(
+                    checks.iter().any(|c| c.name == "sharded-vs-serial"),
+                    "{graph:?}/{delays:?}/{wake:?}: no sharded-vs-serial check"
+                );
             }
         }
     }

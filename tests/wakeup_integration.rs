@@ -159,13 +159,12 @@ fn random_and_adversarial_delays_never_break_correctness() {
         7.0,
     );
     for seed in 0..6 {
-        let mut random = RandomDelay::new(seed);
+        let random = RandomDelay::new(seed);
         let report =
-            AsyncEngine::<DfsRank>::new(&net, async_seed(seed)).run_with(&schedule, &mut random);
+            AsyncEngine::<DfsRank>::new(&net, async_seed(seed)).run_with(&schedule, &random);
         assert!(report.all_awake, "random delay seed {seed}");
-        let mut skew = AdversarialDelay::new(seed);
-        let report =
-            AsyncEngine::<DfsRank>::new(&net, async_seed(seed)).run_with(&schedule, &mut skew);
+        let skew = AdversarialDelay::new(seed);
+        let report = AsyncEngine::<DfsRank>::new(&net, async_seed(seed)).run_with(&schedule, &skew);
         assert!(report.all_awake, "skew delay seed {seed}");
     }
 }
